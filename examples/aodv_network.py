@@ -16,29 +16,20 @@ Run with::
     python examples/aodv_network.py
 """
 
-from repro.core import CoreConfig
 from repro.netstack import layout
 from repro.netstack.apps import THRESH_COUNT, THRESH_EXCEED
-from repro.netstack.drivers import build_aodv_node, build_tx_node
-from repro.network import NetworkSimulator
-
-
-def stage_and_send(node, packet):
-    """Stage a packet body in a node's TX buffer and trigger its MAC."""
-    for index, word in enumerate(packet[:-1]):
-        node.processor.dmem.poke(layout.TX_BUF + index, word)
-    node.processor.raise_soft_event()
+from repro.network.experiments import (
+    build_chain,
+    seed_chain_routes,
+    send_chain_packet,
+)
 
 
 def main():
-    config = CoreConfig(voltage=0.6)
-    net = NetworkSimulator(comm_range=1.5)  # only neighbours hear each other
-    source = net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                          config=config)
-    relay = net.add_node(2, program=build_aodv_node(2), position=(1.0, 0.0),
-                         config=config)
-    sink = net.add_node(3, program=build_aodv_node(3), position=(2.0, 0.0),
-                        config=config)
+    # Nodes sit 1.0 apart with radio range 1.5: only neighbours hear
+    # each other.  Node 1 runs the TX driver, nodes 2 and 3 full AODV.
+    net = build_chain(3)
+    relay, sink = net.nodes[2], net.nodes[3]
     net.run(until=0.01)  # everyone boots and sleeps
 
     # Step 1: route discovery.  The source asks its neighbour (the relay)
@@ -46,19 +37,12 @@ def main():
     # routes it owns, so pre-seed the relay with the sink route and let
     # the source learn it via RREQ/RREP.  The relay itself reaches the
     # sink directly.
-    relay.processor.dmem.poke(layout.ROUTE_TABLE + 0, 3)
-    relay.processor.dmem.poke(layout.ROUTE_TABLE + 1, 3)
-    relay.processor.dmem.poke(layout.ROUTE_TABLE + 2, 1)
+    seed_chain_routes(net, first_relay=2, sink_id=3)
 
     print("Injecting DATA packets for node 3 via the relay...")
     for sequence in range(4):
-        field_a = 0x100 + 0x40 * sequence
-        field_b = 0x120 + 0x55 * sequence
-        packet = layout.make_packet(
-            dst=2,                      # MAC next hop: the relay
-            src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
-            payload=[3, field_a, field_b])   # final destination: node 3
-        stage_and_send(source, packet)
+        # MAC next hop: the relay; final destination: node 3.
+        send_chain_packet(net, sequence, app_dest=3)
         net.run(until=net.kernel.now + 0.2)
 
     print("\nNetwork state after the run:")

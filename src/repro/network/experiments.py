@@ -1,4 +1,4 @@
-"""Network-level experiments.
+"""Network-level experiments and the multi-hop scenario builders.
 
 The paper's introduction frames the goal as maximizing "the lifetime of
 a network", which "is a function of the operations (computation,
@@ -8,6 +8,13 @@ convergecast data-gathering workload (every node samples periodically
 and reports to a sink over multi-hop routes) and derive per-node power
 and battery-lifetime estimates -- for SNAP/LE nodes, and for a
 hypothetical mote whose processor follows the paper's Atmel figures.
+
+The two multi-hop networks every study here shares are built in one
+place each: :func:`build_chain` (a TX driver feeding a line of AODV
+relays, with :func:`send_chain_packet` staging its DATA packets) and
+:func:`build_convergecast`.  The checkpoint differential, the sweep
+engine, ``snap-net-trace`` and the benchmark all build them from here
+and add only their own run timing.
 """
 
 from dataclasses import dataclass
@@ -17,7 +24,7 @@ from repro.baseline.energy import AtmelEnergyModel
 from repro.core import CoreConfig
 from repro.netstack import layout
 from repro.netstack.apps import THRESH_COUNT
-from repro.netstack.drivers import build_aodv_node
+from repro.netstack.drivers import build_aodv_node, build_tx_node
 from repro.netstack.sampling import (
     SAMP_NEXT_HOP,
     SAMP_SENT,
@@ -69,39 +76,79 @@ class ConvergecastResult:
         return battery_j / worst
 
 
-def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
-                 voltage=0.6, seed=0, sample_every=None, fast_path=True,
-                 obs=None, telemetry=None, telemetry_interval=None):
-    """Run a convergecast chain: node N .. node 2 report to node 1.
+#: Application destination no node has: every route lookup misses and
+#: the first relay drops the packet with ``no_route``.
+UNROUTABLE_DEST = 0x7F
 
-    Nodes sit on a line with radio range one hop; every non-sink node
-    samples its temperature sensor each *period_s* and sends the reading
-    toward the sink, relaying neighbours' traffic on the way.
 
-    With *sample_every* set, an energy-timeline sampler snapshots every
-    node on that period and the result carries the drain time-series in
-    its ``drain`` field (the sampler only reads state, so the sampled
-    run is bit-identical to an unsampled one).  *fast_path* selects the
-    cores' execution engine (results are bit-identical either way; the
-    sim-speed benchmark runs both).  *obs* optionally attaches an
-    :class:`~repro.obs.Observability` context (or a
-    :class:`~repro.obs.Blackbox`, via its ``observe``/``watchdog``)
-    to the whole network before the run -- also bit-identical.
+def build_chain(nodes, bit_error_rate=0.0, seed=0, corruption="drop",
+                voltage=0.6, fast_path=True, obs=None, comm_range=1.5):
+    """A line of *nodes* one radio hop apart, not yet booted.
 
-    *telemetry* optionally streams the run: pass a
-    :class:`~repro.obs.transports.TelemetryTransport` (or an NDJSON
-    path) and a :class:`~repro.obs.telemetry.TelemetryExporter` is
-    armed over the whole network for the duration, flushing every
-    *telemetry_interval* simulated seconds.  Telemetry rides the same
-    read-only observability paths, so a streamed run stays bit-identical
-    too (``tests/test_telemetry.py`` pins this on the meter digests).
+    Node 1 (the source) runs the TX driver; nodes 2..N run AODV, relay
+    hop by hop, and node N is the sink.  *seed*, *bit_error_rate* and
+    *corruption* configure the channel's noise; *obs*, when given, is
+    attached before the nodes join so it sees every one of them.  The
+    caller boots the network with its first ``run`` -- after arming any
+    sampler that must see the boot.
+    """
+    config = CoreConfig(voltage=voltage, fast_path=fast_path)
+    net = NetworkSimulator(comm_range=comm_range,
+                           bit_error_rate=bit_error_rate, seed=seed,
+                           corruption=corruption)
+    if obs is not None:
+        net.attach_observability(obs)
+    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
+                 config=config)
+    for node_id in range(2, nodes + 1):
+        net.add_node(node_id, program=build_aodv_node(node_id),
+                     position=(float(node_id - 1), 0.0), config=config)
+    return net
+
+
+def stage_and_send(node, packet):
+    """Stage a packet body in a node's TX buffer and trigger its MAC."""
+    for index, word in enumerate(packet[:-1]):
+        node.processor.dmem.poke(layout.TX_BUF + index, word)
+    node.processor.raise_soft_event()
+
+
+def seed_chain_routes(net, first_relay, sink_id):
+    """Give every relay a route to the sink via its right-hand neighbour."""
+    for node_id in range(first_relay, sink_id):
+        dmem = net.nodes[node_id].processor.dmem
+        dmem.poke(layout.ROUTE_TABLE + 0, sink_id)
+        dmem.poke(layout.ROUTE_TABLE + 1, node_id + 1)
+        dmem.poke(layout.ROUTE_TABLE + 2, sink_id - node_id)
+
+
+def send_chain_packet(net, sequence, app_dest):
+    """Stage DATA packet number *sequence* at the chain's source, bound
+    for *app_dest* at the application layer."""
+    packet = layout.make_packet(
+        dst=2,  # MAC next hop: the first relay
+        src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
+        payload=[app_dest, 0x100 + 0x40 * sequence, 0x120 + 0x55 * sequence])
+    stage_and_send(net.nodes[1], packet)
+
+
+def build_convergecast(chain_length=4, period_s=0.1, voltage=0.6, seed=0,
+                       fast_path=True, obs=None):
+    """The convergecast chain, booted and armed: node N .. node 2 will
+    report to sink node 1.
+
+    Nodes sit on a line with radio range one hop.  The returned network
+    has run its 1 ms boot, every reporter knows its static route to the
+    sink, and the sampling timers are armed.  *obs* optionally attaches
+    an :class:`~repro.obs.Observability` context (or a
+    :class:`~repro.obs.Blackbox`) to the whole network before the boot.
     """
     config = CoreConfig(voltage=voltage, fast_path=fast_path)
     net = NetworkSimulator(comm_range=1.5)
     period_ticks = int(period_s * 1e6)
 
-    sink = net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
-                        config=config)
+    net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
+                 config=config)
     reporters = {}
     for index in range(1, chain_length):
         node_id = index + 1
@@ -133,6 +180,38 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
     for offset, node in enumerate(reporters.values()):
         stagger = int(period_ticks * (1 + offset) / (count + 1))
         node.processor.timer.schedlo(0, period_ticks + stagger)
+    return net
+
+
+def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
+                 voltage=0.6, seed=0, sample_every=None, fast_path=True,
+                 obs=None, telemetry=None, telemetry_interval=None):
+    """Run a convergecast chain: node N .. node 2 report to node 1.
+
+    Every non-sink node samples its temperature sensor each *period_s*
+    and sends the reading toward the sink, relaying neighbours' traffic
+    on the way (the network is :func:`build_convergecast`).
+
+    With *sample_every* set, an energy-timeline sampler snapshots every
+    node on that period and the result carries the drain time-series in
+    its ``drain`` field (the sampler only reads state, so the sampled
+    run is bit-identical to an unsampled one).  *fast_path* selects the
+    cores' execution engine (results are bit-identical either way).
+    *obs* optionally attaches an :class:`~repro.obs.Observability`
+    context (or a :class:`~repro.obs.Blackbox`, via its
+    ``observe``/``watchdog``) to the whole network before the run --
+    also bit-identical.
+
+    *telemetry* optionally streams the run: pass a
+    :class:`~repro.obs.transports.TelemetryTransport` (or an NDJSON
+    path) and a :class:`~repro.obs.telemetry.TelemetryExporter` is
+    armed over the whole network for the duration, flushing every
+    *telemetry_interval* simulated seconds.  Telemetry rides the same
+    read-only observability paths, so a streamed run stays bit-identical
+    too (``tests/test_telemetry.py`` pins this on the meter digests).
+    """
+    net = build_convergecast(chain_length, period_s, voltage=voltage,
+                             seed=seed, fast_path=fast_path, obs=obs)
 
     sampler = None
     if sample_every:
@@ -152,9 +231,7 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
         exporter.close()
 
     reports = {}
-    all_nodes = dict(reporters)
-    all_nodes[1] = sink
-    for node_id, node in sorted(all_nodes.items()):
+    for node_id, node in sorted(net.nodes.items()):
         meter = node.meter
         dmem = node.processor.dmem
         reports[node_id] = NodeReport(
@@ -166,7 +243,7 @@ def convergecast(chain_length=4, period_s=0.1, duration_s=10.0,
             average_power_w=meter.total_energy / duration_s)
     return ConvergecastResult(
         duration_s=duration_s,
-        sink_deliveries=sink.processor.dmem.peek(THRESH_COUNT),
+        sink_deliveries=net.nodes[1].processor.dmem.peek(THRESH_COUNT),
         nodes=reports,
         channel_collisions=net.channel.collisions,
         metrics=net.snapshot(),

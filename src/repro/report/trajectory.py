@@ -11,7 +11,9 @@ each run's ``BENCH_*.json`` dumps into one comparable metric set:
   (``network_lifetime.sink_deliveries``, ...);
 * each benchmark's host wall-clock cost (``<name>.wall_time_s``);
 * the sim-speed scenarios' speedups and fast-path rates
-  (``sim_speed.<scenario>.speedup`` / ``.fast_ips``);
+  (``sim_speed.<scenario>.speedup`` / ``.fast_ips``) of archived
+  ``BENCH_SIM_SPEED.json`` dumps (the benchmark in ``perf/`` writes
+  ``BENCH_PERF.json``, whose flat keys fold in like any other);
 * the fidelity scorecard's grade counts and gate verdict, when a
   ``BENCH_FIDELITY.json`` is present (``fidelity.match``,
   ``fidelity.gate_ok``, ...).

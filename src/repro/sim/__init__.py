@@ -5,7 +5,9 @@ replay.
 heap, per-node processor/coprocessor/radio state, energy meters at full
 float precision, channel physics including the noise RNG -- into a
 versioned, JSON-serializable :class:`~repro.sim.checkpoint.Checkpoint`,
-and restores it into a fresh simulator that continues bit-identically.
+and restores it into a fresh simulator that continues bit-identically;
+its ``meter_digest`` and ``network_digest`` are the full-precision
+fingerprints every bit-identity check in the repository compares.
 ``repro.sim.differential`` is the proof harness: it checkpoints runs
 mid-flight and asserts the resumed simulation is indistinguishable from
 an uninterrupted one.
@@ -18,6 +20,7 @@ from repro.sim.checkpoint import (
     CheckpointError,
     CheckpointVersionError,
     capture,
+    meter_digest,
     network_digest,
     restore,
 )
@@ -29,6 +32,7 @@ __all__ = [
     "CheckpointError",
     "CheckpointVersionError",
     "capture",
+    "meter_digest",
     "network_digest",
     "restore",
 ]

@@ -15,6 +15,13 @@ horizon.  Checkpoint times are drawn from the autonomous tail, so the
 interrupted and uninterrupted twins differ only in the capture/restore
 round-trip under test.
 
+:data:`SCENARIOS` is the repository's one table of named scenarios:
+``snap-diff scenario:NAME`` and ``snap-energy NAME`` resolve names
+here, so a scenario added once is checkpoint-tested, diffable and
+energy-profiled.  The chain and convergecast networks are built by
+:mod:`repro.network.experiments`; the builders here add only their own
+boot, packet and horizon timing.
+
 The matrix deliberately covers the state the checkpoint schema is most
 likely to get wrong:
 
@@ -28,8 +35,12 @@ likely to get wrong:
   RNG mid-stream.
 * ``aodv_noroute`` -- AODV route discovery that never resolves: RREQ
   flooding state in guest DMEM.
-* ``convergecast`` -- periodic sensing with per-node temperature RNGs
-  (the expensive case; marked slow in the tier-1 suite).
+* ``convergecast`` -- periodic sensing with per-node temperature RNGs.
+* ``c_blink`` -- the fig. 5 blink compiled from C, so energy views
+  symbolicate to ``blink.c`` lines.
+
+``convergecast`` and ``c_blink`` are the expensive cases
+(:data:`SLOW_SCENARIOS`, marked slow in the tier-1 suite).
 
 Run standalone (CI's ``checkpoint`` job)::
 
@@ -47,23 +58,12 @@ from repro.isa.encoding import encode
 from repro.isa.events import Event
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.netstack import build_blink_app, layout
-from repro.netstack.drivers import build_aodv_node, build_tx_node
+from repro.netstack import build_blink_app
 from repro.netstack.runtime import boot_source
-from repro.netstack.sampling import (
-    SAMP_NEXT_HOP,
-    SAMP_SINK,
-    build_sampling_node,
-)
+from repro.network import experiments
 from repro.network.simulator import NetworkSimulator
 from repro.node import SensorNode
-from repro.sensors import TemperatureSensor
 from repro.sim.checkpoint import Checkpoint, capture, network_digest, restore
-from repro.tools.snap_net_trace import (
-    UNROUTABLE_DEST,
-    seed_chain_routes,
-    stage_and_send,
-)
 
 #: Both execution engines; every scenario differential runs under each.
 ENGINES = (True, False)
@@ -76,7 +76,9 @@ ENGINES = (True, False)
 # the simulation runs host-intervention-free from there to *horizon*.
 
 
-_STRAIGHTLINE = """
+#: A counted ALU loop; ``%(outer)d`` sets the outer iteration count
+#: (2000 inner iterations each).
+STRAIGHTLINE = """
 boot:
     movi r1, 0
     movi r2, %(outer)d
@@ -95,7 +97,7 @@ inner:
 def build_straightline(fast_path):
     """One busy core grinding a counted loop, no coprocessor traffic."""
     node = SensorNode(node_id=1, config=CoreConfig(fast_path=fast_path))
-    node.load(build(_STRAIGHTLINE % {"outer": 12}))
+    node.load(build(STRAIGHTLINE % {"outer": 12}))
     node.processor.start()
     return node, 0.025
 
@@ -172,31 +174,19 @@ def build_sti(fast_path):
 
 
 def _build_chain(fast_path, bit_error_rate, no_route, packets):
-    """The snap-net-trace chain: TX driver, AODV relays, one sink."""
-    nodes = 3
-    config = CoreConfig(fast_path=fast_path)
-    net = NetworkSimulator(comm_range=1.5, bit_error_rate=bit_error_rate,
-                           seed=7, corruption="flip")
-    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                 config=config)
-    for node_id in range(2, nodes + 1):
-        net.add_node(node_id, program=build_aodv_node(node_id),
-                     position=(float(node_id - 1), 0.0), config=config)
-    net.start()
+    """The three-node snap-net-trace chain, staged up to its last packet."""
+    sink_id = 3
+    net = experiments.build_chain(sink_id, bit_error_rate=bit_error_rate,
+                                  seed=7, corruption="flip",
+                                  fast_path=fast_path)
     net.run(until=0.01)  # everyone boots and sleeps
 
-    sink_id = nodes
-    app_dest = UNROUTABLE_DEST if no_route else sink_id
+    app_dest = experiments.UNROUTABLE_DEST if no_route else sink_id
     if not no_route:
-        seed_chain_routes(net, first_relay=2, sink_id=sink_id)
+        experiments.seed_chain_routes(net, first_relay=2, sink_id=sink_id)
 
-    source = net.nodes[1]
     for sequence in range(packets):
-        packet = layout.make_packet(
-            dst=2, src=1, pkt_type=layout.PKT_TYPE_DATA, seq=sequence,
-            payload=[app_dest, 0x100 + 0x40 * sequence,
-                     0x120 + 0x55 * sequence])
-        stage_and_send(source, packet)
+        experiments.send_chain_packet(net, sequence, app_dest)
         if sequence < packets - 1:
             net.run(until=net.kernel.now + 0.05)
     # The last packet's whole flight (CSMA backoff, per-hop relays, MAC
@@ -221,35 +211,42 @@ def build_aodv_noroute(fast_path):
 
 def build_convergecast(fast_path):
     """Periodic sensing chain with per-node temperature-sensor RNGs."""
-    chain_length = 3
-    period_ticks = 50_000  # 50 ms sampling period
-    config = CoreConfig(fast_path=fast_path)
-    net = NetworkSimulator(comm_range=1.5)
-    net.add_node(1, program=build_aodv_node(1), position=(0.0, 0.0),
-                 config=config)
-    reporters = {}
-    for index in range(1, chain_length):
-        node_id = index + 1
-        node = net.add_node(
-            node_id, program=build_sampling_node(node_id, period_ticks),
-            position=(float(index), 0.0), config=config)
-        node.attach_sensor(TemperatureSensor(seed=node_id), sensor_id=1)
-        reporters[node_id] = node
-    net.start()
-    net.run(until=0.001)
-    for node_id, node in reporters.items():
-        node.processor.dmem.poke(SAMP_NEXT_HOP, node_id - 1)
-        node.processor.dmem.poke(SAMP_SINK, 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 0, 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 1, node_id - 1)
-        node.processor.dmem.poke(layout.ROUTE_TABLE + 2, node_id - 1)
-    count = len(reporters)
-    for offset, node in enumerate(reporters.values()):
-        stagger = int(period_ticks * (1 + offset) / (count + 1))
-        node.processor.timer.schedlo(0, period_ticks + stagger)
+    net = experiments.build_convergecast(chain_length=3, period_s=0.05,
+                                         seed=0, fast_path=fast_path)
     return net, net.kernel.now + 1.0
 
 
+#: The fig. 5 blink written in the C dialect, so every hot frame
+#: symbolicates to a real ``file:line`` in ``blink.c`` (the assembly
+#: scenarios carry assembler line tables instead).
+C_BLINK = """\
+int state;
+
+void arm() { __schedlo(0, 400); }
+
+void init() { state = 0; arm(); }
+
+__handler void on_timer() {
+    state = 1 - state;
+    __r15_write(16384 + state);
+    arm();
+}
+"""
+
+
+def build_c_blink(fast_path):
+    """A single fig5-blink node compiled from :data:`C_BLINK`."""
+    from repro.cc.compiler import build_c_node
+
+    program = build_c_node(C_BLINK, handlers={Event.TIMER0: "on_timer"},
+                           source_name="blink.c")
+    node = SensorNode(node_id=1, config=CoreConfig(fast_path=fast_path))
+    node.load(program)
+    node.processor.start()
+    return node, 1.0
+
+
+#: Name -> ``builder(fast_path) -> (sim, horizon)``.
 SCENARIOS = {
     "straightline": build_straightline,
     "blink": build_blink,
@@ -257,10 +254,14 @@ SCENARIOS = {
     "chain_biterr": build_chain_biterr,
     "aodv_noroute": build_aodv_noroute,
     "convergecast": build_convergecast,
+    "c_blink": build_c_blink,
 }
 
 #: The cheapest scenarios, used by CI's differential smoke matrix.
 CHEAP_SCENARIOS = ("straightline", "blink")
+#: Scenarios too slow for the tier-1 suite (seconds per case on the
+#: reference engine); CI runs them in the checkpoint job.
+SLOW_SCENARIOS = ("convergecast", "c_blink")
 
 
 # -- the differential ---------------------------------------------------------
@@ -279,6 +280,14 @@ def checkpoint_time(sim, horizon, fraction):
     return start + (horizon - start) * fraction
 
 
+def _check_fraction(fraction):
+    """Reject capture points outside the tail: at or past the horizon
+    the twins' clocks differ, and before the tail the capture is moot."""
+    if not 0 <= fraction < 1:
+        raise ValueError("checkpoint fraction must lie in [0, 1), not %r"
+                         % (fraction,))
+
+
 def differential(scenario, fast_path, fraction=0.5, via_json=True,
                  localize=False):
     """Run one (scenario, engine) differential; returns a report dict.
@@ -295,7 +304,10 @@ def differential(scenario, fast_path, fraction=0.5, via_json=True,
     ``report["divergence"]``: the first divergent trace record between
     the baseline and resumed tails, pinned to node/handler/symbolicated
     PC by :mod:`repro.obs.diff` (see :func:`localize_divergence`).
+
+    Raises :class:`ValueError` unless ``0 <= fraction < 1``.
     """
+    _check_fraction(fraction)
     builder = SCENARIOS[scenario]
 
     baseline_sim, horizon = builder(fast_path)
@@ -405,7 +417,12 @@ def main(argv=None):
     if unknown:
         parser.error("unknown scenarios: %s (have: %s)"
                      % (", ".join(unknown), ", ".join(SCENARIOS)))
-    fractions = [float(field) for field in args.fractions.split(",")]
+    try:
+        fractions = [float(field) for field in args.fractions.split(",")]
+        for fraction in fractions:
+            _check_fraction(fraction)
+    except ValueError as error:
+        parser.error("--fractions: %s" % error)
 
     reports, failed = [], 0
     for name in names:

@@ -136,9 +136,12 @@ def main(argv=None):
         parser.error(str(error))
     fixed = {name: values[0] for name, values in fixed_grid.items()}
 
-    sweep = Sweep(scenario=args.scenario, grid=grid,
-                  replicas=args.replicas, base_seed=args.base_seed,
-                  fixed=fixed)
+    try:
+        sweep = Sweep(scenario=args.scenario, grid=grid,
+                      replicas=args.replicas, base_seed=args.base_seed,
+                      fixed=fixed)
+    except ValueError as error:
+        parser.error(str(error))
     result = run_sweep(sweep, workers=args.workers,
                        progress=lambda cell: print(
                            "  cell %d %s: %s" % (

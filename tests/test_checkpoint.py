@@ -35,20 +35,23 @@ from repro.sim import (
 )
 from repro.sim.differential import (
     SCENARIOS,
+    SLOW_SCENARIOS,
     _run,
     checkpoint_time,
     differential,
     digest_diff,
 )
+from repro.sim.differential import main as differential_main
 from repro.tools.snap_flight import main as snap_flight_main
 from repro.tools.snap_run import main as snap_run_main
 
 ENGINES = [True, False]
 
-#: Scenarios cheap enough for the tier-1 suite; the convergecast cases
-#: carry ``@pytest.mark.slow`` and run in CI's full matrix.
-TIER1_SCENARIOS = ["straightline", "blink", "sti", "chain_biterr",
-                   "aodv_noroute"]
+#: Every differential scenario.  The slow ones carry
+#: ``@pytest.mark.slow``: the tier-1 run deselects them, CI's full
+#: matrix runs them.
+MATRIX = [pytest.param(name, marks=pytest.mark.slow)
+          if name in SLOW_SCENARIOS else name for name in SCENARIOS]
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
                       "checkpoint_v1.json")
@@ -68,18 +71,10 @@ def _fraction(scenario, fast_path):
 
 class TestDifferentialMatrix:
     @pytest.mark.parametrize("fast_path", ENGINES)
-    @pytest.mark.parametrize("scenario", TIER1_SCENARIOS)
+    @pytest.mark.parametrize("scenario", MATRIX)
     def test_resume_is_bit_identical(self, scenario, fast_path):
         report = differential(scenario, fast_path,
                               fraction=_fraction(scenario, fast_path))
-        assert report["identical"], "\n".join(
-            digest_diff(report["baseline"], report["resumed"]))
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("fast_path", ENGINES)
-    def test_convergecast_resume_is_bit_identical(self, fast_path):
-        report = differential("convergecast", fast_path,
-                              fraction=_fraction("convergecast", fast_path))
         assert report["identical"], "\n".join(
             digest_diff(report["baseline"], report["resumed"]))
 
@@ -88,6 +83,20 @@ class TestDifferentialMatrix:
         must restore bit-identically (the default, pinned here)."""
         report = differential("sti", True, fraction=0.5, via_json=True)
         assert report["identical"]
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -2.0])
+    def test_fraction_outside_the_tail_is_rejected(self, fraction):
+        # 1.5 would capture past the horizon (a false DIVERGED) and -2
+        # before the tail starts (a vacuous ok).
+        with pytest.raises(ValueError, match="fraction"):
+            differential("straightline", True, fraction=fraction)
+
+    def test_cli_rejects_fraction_outside_the_tail(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            differential_main(["--scenarios", "straightline",
+                               "--fractions", "1.5,-2"])
+        assert excinfo.value.code == 2
+        assert "--fractions" in capsys.readouterr().err
 
 
 class TestTraceStreamIdentity:

@@ -121,10 +121,10 @@ class TestBlackboxBitIdentical:
     (the full-precision digest, not the rounded one above)."""
 
     def test_fig5_blink_digest_identical(self):
-        from repro.bench.simspeed import meter_digest
         from repro.netstack import build_blink_app
         from repro.node.node import SensorNode
         from repro.obs import Blackbox
+        from repro.sim import meter_digest
 
         def blink(box):
             node = SensorNode(node_id=0)

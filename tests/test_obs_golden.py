@@ -19,11 +19,14 @@ import os
 from repro.asm import build
 from repro.core import CoreConfig
 from repro.netstack import layout
-from repro.netstack.drivers import build_aodv_node, build_tx_node
 from repro.network import NetworkSimulator
+from repro.network.experiments import (
+    UNROUTABLE_DEST,
+    build_chain,
+    stage_and_send,
+)
 from repro.node import SensorNode
 from repro.obs import KindFilter, MemorySink, Observability, project_trace
-from repro.tools.snap_net_trace import stage_and_send
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -108,18 +111,12 @@ def packet_receive_trace():
 
 
 def _journey_net(bit_error_rate=0.0, corruption="drop"):
-    """A two-node net (TX driver + AODV node) traced for journeys only."""
+    """A two-node chain (TX driver + AODV node) traced for journeys only."""
     obs = Observability(journeys=True)
     sink = MemorySink()
     obs.bus.attach(KindFilter(("span",), sink))
-    net = NetworkSimulator(comm_range=1.5, bit_error_rate=bit_error_rate,
-                           corruption=corruption)
-    net.attach_observability(obs)
-    config = CoreConfig(voltage=0.6)
-    net.add_node(1, program=build_tx_node(1), position=(0.0, 0.0),
-                 config=config)
-    net.add_node(2, program=build_aodv_node(2), position=(1.0, 0.0),
-                 config=config)
+    net = build_chain(2, bit_error_rate=bit_error_rate,
+                      corruption=corruption, obs=obs)
     net.run(until=0.01)
     return net, obs, sink
 
@@ -141,7 +138,8 @@ def journey_no_route_trace():
     lookup misses and the journey tree records a ``no_route`` drop."""
     net, obs, sink = _journey_net()
     packet = layout.make_packet(dst=2, src=1, pkt_type=layout.PKT_TYPE_DATA,
-                                seq=0, payload=[0x7F, 0x111, 0x222])
+                                seq=0,
+                                payload=[UNROUTABLE_DEST, 0x111, 0x222])
     stage_and_send(net.nodes[1], packet)
     net.run(until=net.kernel.now + 0.1)
     obs.journeys.flush()

@@ -19,7 +19,6 @@ from repro.bench.sweep import (
     strip_volatile,
     sweep_scenario,
 )
-from repro.bench.simspeed import meter_digest
 from repro.core import (
     CoreConfig,
     PredecodeCache,
@@ -29,6 +28,7 @@ from repro.core import (
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.sim import meter_digest
 
 #: Cheap deterministic scenario: no simulation, just echoes its inputs.
 @sweep_scenario("_test_echo")
@@ -102,6 +102,11 @@ class TestGrid:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep scenario"):
             run_sweep(Sweep(scenario="_no_such_scenario"))
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_replicas_below_one_rejected(self, replicas):
+        with pytest.raises(ValueError, match="replicas"):
+            Sweep(scenario="_test_echo", grid={"x": [1]}, replicas=replicas)
 
 
 class TestSerialSweep:
@@ -309,3 +314,12 @@ class TestSweepCli:
                      "--fixed", "poison=2"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("replicas", ["0", "-1"])
+    def test_replicas_below_one_is_a_usage_error(self, replicas, capsys):
+        from repro.tools.snap_sweep import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["voltage_point", "--grid", "voltage=0.6",
+                  "--replicas", replicas])
+        assert excinfo.value.code == 2
+        assert "replicas" in capsys.readouterr().err
