@@ -295,7 +295,7 @@ def run_sweep(sweep, workers=None, progress=None):
                 cells[task["index"]] = _interrupted_cell(task)
                 continue
             try:
-                cell = future.result()
+                cell = _pooled_result(task, future)
             except KeyboardInterrupt:
                 # Stop the sweep, keep what finished: cancel the rest
                 # and mark this and every later cell interrupted.
@@ -304,8 +304,8 @@ def run_sweep(sweep, workers=None, progress=None):
             except concurrent.futures.CancelledError:
                 cell = _interrupted_cell(task)
             except Exception as exc:
-                # Worker crash (BrokenProcessPool, pickling failure):
-                # the loss is confined to this cell's row.
+                # Worker crash (this cell's own BrokenProcessPool,
+                # pickling failure): the loss is confined to its row.
                 cell = dict(_interrupted_cell(task),
                             error="%s: %s" % (type(exc).__name__, exc))
             cells[task["index"]] = cell
@@ -314,6 +314,22 @@ def run_sweep(sweep, workers=None, progress=None):
     return SweepResult(sweep=sweep, workers=workers, cells=cells,
                        wall_time_s=time.perf_counter() - started,
                        interrupted=interrupted)
+
+
+def _pooled_result(task, future):
+    """The cell of one pooled *task*.
+
+    A worker that dies breaks the whole pool, and every cell still
+    running or queued then fails with ``BrokenProcessPool``.  Such a
+    cell is re-run alone in a fresh one-worker pool, so only the cell
+    that really kills its worker reports the crash.  Cells are pure
+    functions of their task, so the re-run result is bit-identical.
+    """
+    try:
+        return future.result()
+    except concurrent.futures.BrokenExecutor:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_pooled_cell, task).result()
 
 
 def _run_serial(tasks, progress):

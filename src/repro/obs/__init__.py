@@ -8,12 +8,16 @@ Cooperating pieces, all opt-in and zero-cost when detached:
 * a **metrics registry** (:mod:`repro.obs.metrics`) of counters, gauges,
   and histograms wired into the core, event queue, coprocessors, radio,
   and channel;
-* a **profiler** (:mod:`repro.obs.profiler`) attributing time and energy
-  per handler and per PC, reconciling against the
-  :class:`~repro.energy.accounting.EnergyMeter`;
+* a **cost table** (:mod:`repro.obs.profiler`): instructions, energy
+  and time per (node, pc, handler, instruction class), reconciling
+  against the :class:`~repro.energy.accounting.EnergyMeter`.  The
+  profile report (CLI: ``snap-prof``), the energy ledger's line and
+  layer views and the differential analyzer's delta tables are
+  roll-ups of it;
 * an **energy ledger** (:mod:`repro.obs.energy`) attributing every
   picojoule to guest source lines (collapsed-stack / speedscope flame
-  graphs), protocol layers, and individual packet journeys, plus
+  graphs) and protocol layers by rolling up the cost table, and to
+  individual packet journeys by matching handler invocations, plus
   battery-lifetime projection -- every view reconciles against the
   meter with its residual reported (CLI: ``snap-energy``);
 * a **blackbox** (:mod:`repro.obs.blackbox`) -- a bounded flight
@@ -26,9 +30,9 @@ Cooperating pieces, all opt-in and zero-cost when detached:
   event-by-event to localize their first divergence -- time window via
   checkpoint bisection, node, handler, symbolicated PC, flight-recorder
   tails -- and comparing intentionally different runs (two voltages, two
-  engines) as per-handler/per-PC/per-flow delta reports
-  (``repro.obs.diff/1``, CLI: ``snap-diff``), on the shared float-free
-  projections of :mod:`repro.obs.project`;
+  engines) as per-handler/per-PC/per-flow delta reports over two cost
+  tables (``repro.obs.diff/1``, CLI: ``snap-diff``), on the shared
+  float-free projections of :mod:`repro.obs.project`;
 * a **telemetry exporter** (:mod:`repro.obs.telemetry`) streaming
   batched deltas of all of the above as versioned NDJSON
   (``repro.obs.telemetry/1``) over non-blocking transports
@@ -42,7 +46,7 @@ Typical use::
     obs = Observability(profile=True)
     obs.observe(node)                  # or processor, or NetworkSimulator
     node.run(until=0.1)
-    print(obs.profiler.report())
+    print(obs.profiler.report())       # per-node handlers + hot PCs
     print(obs.metrics.snapshot())
 
 The ``snap-prof`` CLI (``python -m repro.tools.snap_prof``) wraps this
@@ -73,7 +77,6 @@ from repro.obs.diff import (
 )
 from repro.obs.energy import (
     EnergyLedger,
-    LineStat,
     layer_split_from_meter,
     project_lifetime,
 )
@@ -85,7 +88,7 @@ from repro.obs.postmortem import (
     render_markdown,
     write_bundle,
 )
-from repro.obs.profiler import HandlerProfile, PcProfile, Profiler
+from repro.obs.profiler import Profiler
 from repro.obs.telemetry import TelemetryExporter, TelemetryView
 from repro.obs.timeline import TimelineSampler
 from repro.obs.transports import (
@@ -142,10 +145,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Profiler",
-    "HandlerProfile",
-    "PcProfile",
     "EnergyLedger",
-    "LineStat",
     "layer_split_from_meter",
     "project_lifetime",
     "TimelineSampler",

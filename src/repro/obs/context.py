@@ -1,11 +1,12 @@
 """The :class:`Observability` context: one trace bus + one metrics
-registry + an optional profiler, shared by every instrumented component.
+registry + an optional cost table, shared by every instrumented
+component.
 
 Components (processor, event queue, coprocessor, radio, channel) keep an
 ``obs`` attribute that defaults to ``None`` and guard each hook call with
 ``if self.obs is not None`` -- the disabled path touches no observability
 code, so simulation results are bit-identical with and without the layer
-(verified by ``tests/test_obs_profiler.py``).
+(verified by ``tests/test_obs_integration.py``).
 
 The hook methods below are the single funnel: they update the metrics
 registry and emit one typed event onto the bus.  Metric names are dotted
@@ -34,15 +35,18 @@ from repro.obs.profiler import Profiler
 
 
 class Observability:
-    """Bundles the trace bus, metrics registry, optional profiler, and
-    optional packet-journey tracker."""
+    """Bundles the trace bus, metrics registry, optional cost table,
+    energy ledger, and packet-journey tracker."""
 
     def __init__(self, bus=None, metrics=None, profile=False, journeys=False,
                  flight=False, energy=False):
         self.bus = bus if bus is not None else TraceBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The :class:`~repro.obs.profiler.Profiler` cost table, armed by
+        #: *profile* or *energy* (the ledger's line and layer views roll
+        #: it up); one table either way.
         self.profiler = None
-        if profile:
+        if profile or energy:
             self.profiler = self.bus.attach(Profiler())
         #: Optional :class:`~repro.obs.energy.EnergyLedger` attributing
         #: every picojoule to source lines, layers, and packets.

@@ -47,9 +47,13 @@ Runs come from three places (:class:`RunCapture`): live simulators
 (:mod:`repro.tools.snap_diff`) fronts all of this.
 """
 
+import dataclasses
+import json
 from dataclasses import dataclass, replace
 
-from repro.obs.bus import MemorySink, read_jsonl
+from repro.obs.bus import MemorySink
+from repro.obs.events import EVENT_KINDS
+from repro.obs.profiler import Profiler
 from repro.obs.project import project_event
 
 SCHEMA = "repro.obs.diff/1"
@@ -141,8 +145,30 @@ def capture_run(sim, horizon, label="run", journeys=True):
 
 
 def load_trace(path, label=None):
-    """Load a recorded JSONL trace stream as a :class:`RunCapture`."""
-    events = read_jsonl(path)
+    """Load a recorded JSONL trace stream as a :class:`RunCapture`.
+
+    Raises :class:`DiffError` naming the file and line when the file
+    cannot be read, a line is not a JSON object, or a record of a known
+    event type lacks one of its fields or carries a wrongly typed one.
+    Records of unknown types pass through unchecked.
+    """
+    events = []
+    try:
+        with open(path) as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as error:
+                    raise DiffError("%s:%d: not JSON (%s)"
+                                    % (path, number, error))
+                problem = _record_problem(record)
+                if problem:
+                    raise DiffError("%s:%d: %s" % (path, number, problem))
+                events.append(record)
+    except (OSError, UnicodeError) as error:
+        raise DiffError("cannot read trace %s: %s" % (path, error))
     time_s = None
     for record in reversed(events):
         if isinstance(record.get("time"), (int, float)):
@@ -150,6 +176,31 @@ def load_trace(path, label=None):
             break
     return RunCapture(label=label or path, kind="trace", events=events,
                       time_s=time_s)
+
+
+#: Event-field annotations :func:`_record_problem` type-checks; fields
+#: annotated otherwise (the optional ``"int | None"`` ones) need only be
+#: present.
+_FIELD_TYPES = {float: (int, float), int: int, str: str}
+
+
+def _record_problem(record):
+    """Why *record* is not a valid trace record, or ``None``."""
+    if not isinstance(record, dict):
+        return "record is %s, not an object" % type(record).__name__
+    cls = EVENT_KINDS.get(record.get("type"))
+    if cls is None:
+        return None
+    for field in dataclasses.fields(cls):
+        if field.name not in record:
+            return "%r record has no %r field" % (cls.kind, field.name)
+        value = record[field.name]
+        want = _FIELD_TYPES.get(field.type)
+        if want is not None and (isinstance(value, bool)
+                                 or not isinstance(value, want)):
+            return "%r record field %r is %r, not %s" % (
+                cls.kind, field.name, value, field.type.__name__)
+    return None
 
 
 def capture_from_checkpoint(source, horizon, label=None, journeys=True):
@@ -509,110 +560,6 @@ class Bisector:
 # -- cross-run aggregation ----------------------------------------------------
 
 
-def aggregate_handlers(events):
-    """Per ``(node, handler)`` cost from instruction/dispatch records."""
-    table = {}
-
-    def cell(node, handler):
-        key = (node, handler)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"instructions": 0, "energy": 0.0,
-                                  "time": 0.0, "invocations": 0}
-        return entry
-
-    for record in events:
-        kind = record.get("type")
-        if kind == "instruction":
-            entry = cell(record["node"], record["handler"])
-            entry["instructions"] += 1
-            entry["energy"] += record.get("energy") or 0.0
-            entry["time"] += record.get("duration") or 0.0
-        elif kind == "dispatch":
-            cell(record["node"], record["handler"])["invocations"] += 1
-    return table
-
-
-def aggregate_pcs(events):
-    """Per ``(node, pc)`` cost from instruction records."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        key = (record["node"], record["pc"])
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0,
-                                  "mnemonic": record.get("mnemonic", "")}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
-
-
-def aggregate_classes(events):
-    """Per ``(node, instruction-class)`` count/energy."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        key = (record["node"], record.get("instr_class") or "?")
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-    return table
-
-
-def aggregate_layers(events, programs=None):
-    """Per ``(node, protocol-layer)`` cost from instruction records.
-
-    Layers come from the netstack layout's maps: the symbolicated
-    function prefix when *programs* carry a line table for the pc,
-    the handler tag's default otherwise.
-    """
-    from repro.netstack.layout import function_layer
-
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        location = _symbolicate(programs or {}, node, record.get("pc"))
-        function = location.get("function") if location else None
-        layer = function_layer(function, record.get("handler"))
-        key = (node, layer)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
-
-
-def aggregate_lines(events, programs=None):
-    """Per ``(node, function, file, line)`` cost from instruction
-    records -- per-PC rows rolled up through the line tables."""
-    table = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        pc = record.get("pc")
-        location = _symbolicate(programs or {}, node, pc) or {}
-        key = (node, location.get("function") or ("0x%04x" % (pc or 0)),
-               location.get("file") or "", location.get("line") or 0)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = {"count": 0, "energy": 0.0, "time": 0.0}
-        entry["count"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return table
-
-
 def flows_from_events(events):
     """Reassemble journey flows from span records.
 
@@ -730,45 +677,57 @@ def _metrics_diff(metrics_a, metrics_b):
     return {"added": added, "removed": removed, "changed": changed}
 
 
-def _node_totals(events):
-    totals = {}
-    for record in events:
-        if record.get("type") != "instruction":
-            continue
-        node = record["node"]
-        entry = totals.get(node)
-        if entry is None:
-            entry = totals[node] = {"instructions": 0, "energy": 0.0,
-                                    "time": 0.0}
-        entry["instructions"] += 1
-        entry["energy"] += record.get("energy") or 0.0
-        entry["time"] += record.get("duration") or 0.0
-    return totals
-
-
 def compare(run_a, run_b, mode="full", tail=DEFAULT_TAIL, top=DEFAULT_TOP):
     """The full structured comparison of two :class:`RunCapture` s.
 
     Returns the ``repro.obs.diff/1`` report dict: localized first
-    divergence (or ``None``), per-handler/per-PC/per-class deltas,
-    per-node totals, journey flow diffs, and metrics-registry diffs.
+    divergence (or ``None``), per-handler/per-PC/per-class/per-layer/
+    per-line deltas and per-node totals (roll-ups of each run's
+    :class:`~repro.obs.profiler.Profiler` cost table), journey flow
+    diffs, and metrics-registry diffs.
     """
+    from repro.netstack.layout import function_layer
+
     divergence = first_divergence(run_a, run_b, mode=mode, tail=tail)
+    tables = (Profiler.from_records(run_a.events),
+              Profiler.from_records(run_b.events))
+    programs = dict(run_b.programs or {})
+    programs.update(run_a.programs or {})
+
+    def deltas(view, names, base_fields=()):
+        """Delta rows of one view of both tables; *view(table)* maps
+        groups to columns, named by *names*."""
+        a, b = ({group: dict(zip(names, columns))
+                 for group, columns in view(table).items()}
+                for table in tables)
+        fields = [name for name in names if name not in base_fields]
+        return _delta_rows(a, b, fields, base_fields)
+
+    def rollup(key):
+        return lambda table: table.rollup(key)
+
+    def layer(node, pc, handler, instr_class):
+        location = _symbolicate(programs, node, pc) or {}
+        return node, function_layer(location.get("function"), handler)
+
+    def line(node, pc, handler, instr_class):
+        location = _symbolicate(programs, node, pc) or {}
+        return (node, location.get("function") or ("0x%04x" % pc),
+                location.get("file") or "", location.get("line") or 0)
 
     handlers = []
-    for (node, handler), row in _delta_rows(
-            aggregate_handlers(run_a.events), aggregate_handlers(run_b.events),
+    for (node, handler), row in deltas(
+            Profiler.handlers,
             ("instructions", "energy", "time", "invocations")):
         row.update(node=node, handler=handler)
         handlers.append(row)
     handlers.sort(key=lambda row: -abs(row["d_energy"]))
 
-    programs = dict(run_b.programs or {})
-    programs.update(run_a.programs or {})
     pcs = []
-    for (node, pc), row in _delta_rows(
-            aggregate_pcs(run_a.events), aggregate_pcs(run_b.events),
-            ("count", "energy", "time"), base_fields=("mnemonic",)):
+    for (node, pc), row in deltas(
+            rollup(lambda node, pc, handler, instr_class: (node, pc)),
+            ("count", "energy", "time", "mnemonic"),
+            base_fields=("mnemonic",)):
         row.update(node=node, pc=pc,
                    location=_symbolicate(programs, node, pc))
         pcs.append(row)
@@ -778,28 +737,25 @@ def compare(run_a, run_b, mode="full", tail=DEFAULT_TAIL, top=DEFAULT_TOP):
         pcs = pcs[:top]
 
     classes = []
-    for (node, name), row in _delta_rows(
-            aggregate_classes(run_a.events), aggregate_classes(run_b.events),
+    for (node, name), row in deltas(
+            rollup(lambda node, pc, handler, instr_class:
+                   (node, instr_class)),
             ("count", "energy")):
         row.update(node=node, instr_class=name)
         classes.append(row)
     classes.sort(key=lambda row: -abs(row["d_energy"]))
 
     layers = []
-    for (node, layer), row in _delta_rows(
-            aggregate_layers(run_a.events, programs),
-            aggregate_layers(run_b.events, programs),
-            ("count", "energy", "time")):
-        row.update(node=node, layer=layer)
+    for (node, name), row in deltas(rollup(layer),
+                                    ("count", "energy", "time")):
+        row.update(node=node, layer=name)
         layers.append(row)
     layers.sort(key=lambda row: -abs(row["d_energy"]))
 
     lines = []
-    for (node, function, file, line), row in _delta_rows(
-            aggregate_lines(run_a.events, programs),
-            aggregate_lines(run_b.events, programs),
-            ("count", "energy", "time")):
-        row.update(node=node, function=function, file=file, line=line)
+    for (node, function, file, number), row in deltas(
+            rollup(line), ("count", "energy", "time")):
+        row.update(node=node, function=function, file=file, line=number)
         lines.append(row)
     lines.sort(key=lambda row: -abs(row["d_energy"]))
     line_rows_total = len(lines)
@@ -807,9 +763,9 @@ def compare(run_a, run_b, mode="full", tail=DEFAULT_TAIL, top=DEFAULT_TOP):
         lines = lines[:top]
 
     nodes = []
-    for node, row in _delta_rows(_node_totals(run_a.events),
-                                 _node_totals(run_b.events),
-                                 ("instructions", "energy", "time")):
+    for node, row in deltas(
+            rollup(lambda node, pc, handler, instr_class: node),
+            ("instructions", "energy", "time")):
         row.update(node=node)
         nodes.append(row)
 

@@ -1,18 +1,21 @@
 """Causal energy provenance: every picojoule, attributed four ways.
 
-The :class:`EnergyLedger` is a trace-bus sink (the same interface as the
-:class:`~repro.obs.profiler.Profiler`) that turns the per-instruction
-energy stream into four reconciling views:
+The :class:`EnergyLedger` turns the per-instruction energy stream into
+four reconciling views:
 
-* **source lines** -- per-(node, pc, handler) accumulation symbolicated
-  through ``Program.lookup`` line tables and rolled up into call-free
-  flame graphs (collapsed-stack and speedscope JSON export);
+* **source lines** -- the cost table's per-(node, pc, handler, class)
+  rows (:class:`~repro.obs.profiler.Profiler`, armed alongside the
+  ledger as ``obs.profiler``) rolled up through ``Program.lookup`` line
+  tables into call-free flame graphs (collapsed-stack and speedscope
+  JSON export);
 * **protocol layers** -- app / aggregation / reliable / AODV / MAC /
-  radio / idle-sleep, via the netstack layout's handler->layer and
-  function-prefix maps;
+  radio / idle-sleep, the same rows rolled up through the netstack
+  layout's handler->layer and function-prefix maps;
 * **packet identity** -- each journey's true end-to-end cost including
   forwarding CPU, TX/RX air time, and overhearing on third-party nodes,
-  by matching handler invocations to journey span time windows;
+  by matching handler invocations to journey span time windows.  The
+  invocation windows are the one thing the ledger accumulates itself,
+  as a trace-bus sink;
 * **node lifetime** -- linear and drain-curve battery projections over
   :class:`~repro.obs.timeline.TimelineSampler` rows.
 
@@ -20,14 +23,13 @@ Reconciliation contract: every view reports ``attributed_j``, the
 ledger-wide ``total_j`` (sum of every registered meter's total energy
 plus every registered radio's energy), and the ``residual_j`` between
 them -- unattributed energy is surfaced, never silently dropped.
-Because the ledger sums the identical per-instruction floats the meter
-records (in the identical order, through the fast-path burst loop too),
-line counters are bit-identical across engines and residuals stay at
+Because the cost table sums the identical per-instruction floats the
+meter records (in the identical order, through the fast-path burst loop
+too), its rows are bit-identical across engines and residuals stay at
 float-rounding scale.
 """
 
 import math
-from dataclasses import dataclass
 
 from repro.netstack.layout import LAYERS, function_layer, handler_layer
 
@@ -38,31 +40,16 @@ _IDLE = "[idle]"
 _RADIO = "[radio]"
 
 
-@dataclass
-class LineStat:
-    """Accumulated cost of one (node, pc, handler) site."""
-
-    node: str
-    pc: int
-    handler: str
-    count: int = 0
-    energy: float = 0.0
-    time: float = 0.0
-    mnemonic: str = ""
-
-
 class _NodeRecord:
     """What the ledger knows about one registered core."""
 
-    __slots__ = ("cpu", "name", "processor", "meter", "radio", "node_id")
+    __slots__ = ("name", "processor", "meter", "radio")
 
-    def __init__(self, cpu, name, processor, meter, radio=None, node_id=None):
-        self.cpu = cpu
+    def __init__(self, name, processor, meter, radio=None):
         self.name = name
         self.processor = processor
         self.meter = meter
         self.radio = radio
-        self.node_id = node_id
 
     @property
     def program(self):
@@ -70,26 +57,26 @@ class _NodeRecord:
 
 
 class EnergyLedger:
-    """A trace-bus sink that attributes energy to lines, layers, packets,
-    and lifetimes, reconciling each view against the meters."""
+    """Attributes energy to lines, layers, packets, and lifetimes,
+    reconciling each view against the meters.
+
+    The line and layer views roll up the owning context's cost table;
+    as a trace-bus sink the ledger itself only keeps the handler
+    invocation windows the packet view matches against journeys.
+    """
 
     def __init__(self, max_invocations=200_000):
-        #: (cpu name, pc, handler tag) -> :class:`LineStat`.
-        self.by_line = {}
         #: cpu name -> list of ``[t0, t_end, handler, energy]`` handler
         #: invocations (``t_end is None`` while open).  Bounded by
-        #: *max_invocations* per cpu; overflow energy is accumulated in
-        #: :attr:`overflow_energy` so reconciliation still holds.
+        #: *max_invocations* per cpu; energy past the cap stays in the
+        #: cost table's total and lands in the ``(non-packet)`` bucket.
         self.invocations = {}
-        self.overflow_energy = {}
         self.max_invocations = max_invocations
-        #: Total instruction energy seen on the bus.
-        self.energy = 0.0
-        self.instructions = 0
         #: cpu name -> :class:`_NodeRecord`.
         self._records = {}
-        #: The owning :class:`Observability` (set by the context); used
-        #: to reach the journey tracker for the packet view.
+        #: The owning :class:`Observability` (set by the context); its
+        #: ``profiler`` is the cost table and its ``journeys`` feed the
+        #: packet view.
         self.obs = None
 
     # -- registration ---------------------------------------------------------
@@ -97,53 +84,32 @@ class EnergyLedger:
     def register_node(self, node):
         """Register a :class:`~repro.node.node.SensorNode` (its cpu,
         meter, radio, and program feed every view)."""
-        cpu = node.processor.name
-        self._records[cpu] = _NodeRecord(
-            cpu, node.name, node.processor, node.processor.meter,
-            radio=node.radio, node_id=node.node_id)
+        self._records[node.processor.name] = _NodeRecord(
+            node.name, node.processor, node.processor.meter,
+            radio=node.radio)
 
     def register_processor(self, processor):
         """Register a bare core (no radio) by its processor."""
         if processor.name not in self._records:
             self._records[processor.name] = _NodeRecord(
-                processor.name, processor.name, processor, processor.meter)
-
-    def records(self):
-        return list(self._records.values())
+                processor.name, processor, processor.meter)
 
     # -- the sink interface ---------------------------------------------------
 
     def __call__(self, event):
         kind = event.kind
         if kind == "instruction":
-            self.instructions += 1
-            self.energy += event.energy
-            key = (event.node, event.pc, event.handler)
-            stat = self.by_line.get(key)
-            if stat is None:
-                stat = self.by_line[key] = LineStat(
-                    event.node, event.pc, event.handler,
-                    mnemonic=event.mnemonic)
-            stat.count += 1
-            stat.energy += event.energy
-            stat.time += event.duration
-            self._charge_invocation(event.node, event.time, event.handler,
-                                    event.energy)
+            stack = self.invocations.get(event.node)
+            if not stack or stack[-1][1] is not None:
+                if stack is None:
+                    stack = self.invocations[event.node] = []
+                # Instructions before any dispatch run under the boot tag.
+                if len(stack) >= self.max_invocations:
+                    return
+                stack.append([event.time, None, event.handler, 0.0])
+            stack[-1][3] += event.energy
         elif kind == "dispatch":
             self._dispatch(event.node, event.time, event.handler)
-
-    def _charge_invocation(self, cpu, time, handler, energy):
-        stack = self.invocations.get(cpu)
-        if stack is None:
-            stack = self.invocations[cpu] = []
-        if not stack or stack[-1][1] is not None:
-            # Instructions before any dispatch run under the boot tag.
-            if len(stack) >= self.max_invocations:
-                self.overflow_energy[cpu] = \
-                    self.overflow_energy.get(cpu, 0.0) + energy
-                return
-            stack.append([time, None, handler, 0.0])
-        stack[-1][3] += energy
 
     def _dispatch(self, cpu, time, handler):
         stack = self.invocations.get(cpu)
@@ -166,7 +132,7 @@ class EnergyLedger:
         return (loc.function, loc.file or None, loc.line)
 
     def _frames(self):
-        """Roll per-pc stats up into (node, layer, handler, function,
+        """Roll the cost table up into (node, layer, handler, function,
         file, line) frames, plus meter/radio pseudo-frames."""
         frames = {}
 
@@ -183,14 +149,16 @@ class EnergyLedger:
             frame["time_s"] += time
             frame["count"] += count
 
-        for (cpu, pc, handler), stat in self.by_line.items():
+        def site(cpu, pc, handler, instr_class):
             record = self._records.get(cpu)
-            node = record.name if record is not None else cpu
             function, file, line = self._symbolicate(record, pc)
-            layer = function_layer(function, handler)
-            add(node, layer, handler,
-                function or ("0x%04x" % pc), file, line,
-                stat.energy, stat.time, stat.count)
+            return (record.name if record is not None else cpu,
+                    function_layer(function, handler), handler,
+                    function or ("0x%04x" % pc), file, line)
+
+        for frame, (count, energy, time, _) in \
+                self.obs.profiler.rollup(site).items():
+            add(*frame, energy, time, count)
         for record in self._records.values():
             meter = record.meter
             add(record.name, "idle-sleep", "-", _WAKEUP, None, None,
@@ -227,17 +195,6 @@ class EnergyLedger:
             "residual_frac": abs(residual) / total if total else 0.0,
         }
 
-    def reconcile(self):
-        """Ledger-level reconciliation of the instruction stream against
-        the meters (sans wakeup/token/idle, like the profiler)."""
-        meter_instruction = 0.0
-        for record in self._records.values():
-            meter = record.meter
-            meter_instruction += (meter.total_energy - meter.wakeup_energy
-                                  - meter.event_token_energy
-                                  - meter.idle_energy)
-        return self.energy, meter_instruction
-
     # -- the four views -------------------------------------------------------
 
     def line_view(self):
@@ -258,10 +215,6 @@ class EnergyLedger:
         result["layers"] = layers
         return result
 
-    def layer_totals(self):
-        """Just the layer -> joules map (telemetry's incremental feed)."""
-        return self.layer_view()["layers"]
-
     def packet_view(self, journeys=None):
         """Per-packet end-to-end cost: radio air time plus the CPU
         invocations each journey caused, with everything unmatched
@@ -272,9 +225,7 @@ class EnergyLedger:
         journeys_list = tracker.journeys if tracker is not None else []
         rows, matched_cpu = self._match_journeys(journeys_list)
 
-        instruction_total = self.energy
-        for extra in self.overflow_energy.values():
-            instruction_total += extra
+        instruction_total = self.obs.profiler.energy
         idle_sleep = 0.0
         radio_total = 0.0
         for record in self._records.values():

@@ -10,10 +10,6 @@ each run's ``BENCH_*.json`` dumps into one comparable metric set:
 * every numeric top-level field of each benchmark's ``results`` payload
   (``network_lifetime.sink_deliveries``, ...);
 * each benchmark's host wall-clock cost (``<name>.wall_time_s``);
-* the sim-speed scenarios' speedups and fast-path rates
-  (``sim_speed.<scenario>.speedup`` / ``.fast_ips``) of archived
-  ``BENCH_SIM_SPEED.json`` dumps (the benchmark in ``perf/`` writes
-  ``BENCH_PERF.json``, whose flat keys fold in like any other);
 * the fidelity scorecard's grade counts and gate verdict, when a
   ``BENCH_FIDELITY.json`` is present (``fidelity.match``,
   ``fidelity.gate_ok``, ...).
@@ -48,14 +44,6 @@ def _flatten_benchmark(name, payload, metrics):
     if isinstance(results, dict):
         if results.get("schema") == "repro.bench.sweep/1":
             _flatten_sweep(results, metrics)
-        elif key == "sim_speed":
-            for scenario, row in sorted(results.items()):
-                if isinstance(row, dict):
-                    for field in ("speedup", "fast_ips"):
-                        value = row.get(field)
-                        if isinstance(value, (int, float)):
-                            metrics["sim_speed.%s.%s"
-                                    % (scenario, field)] = value
         else:
             for field, value in results.items():
                 if isinstance(value, (int, float)) \

@@ -203,13 +203,12 @@ def self_test(factor=1.5):
     baseline = _selftest_ledger()
     perturbed = _selftest_ledger(factor=factor)
 
-    # The expected line: the single st in the perturbed run's ledger.
+    # The expected line: the single st in the perturbed run's table.
     expected = None
-    for stat in perturbed.by_line.values():
-        if stat.mnemonic.startswith("st ") and stat.handler == \
-                SELFTEST_HANDLER:
-            record = perturbed._records.get(stat.node)
-            function, file, line = perturbed._symbolicate(record, stat.pc)
+    for (node, pc, handler, _), row in perturbed.obs.profiler.rows.items():
+        if row[3].startswith("st ") and handler == SELFTEST_HANDLER:
+            record = perturbed._records.get(node)
+            function, file, line = perturbed._symbolicate(record, pc)
             expected = {"function": function, "file": file, "line": line}
     failures = []
     if expected is None:

@@ -1,5 +1,7 @@
 """``snap-prof``: run a program under full observability and print a
-per-handler / per-PC energy and time profile.
+per-handler / per-PC energy and time profile (roll-ups of the
+:class:`~repro.obs.profiler.Profiler` cost table, each row labelled with
+its node).
 
 Accepts the same inputs as ``snap-run`` (assembly sources or a ``.hex``
 image).  On top of the run statistics it can stream the structured trace
@@ -119,7 +121,8 @@ def main(argv=None):
           % (profiled * 1e9, metered * 1e9,
              (meter.total_energy - metered) * 1e9))
     print()
-    print(obs.profiler.report(top=args.top, program=program))
+    print(obs.profiler.report(top=args.top,
+                              programs={processor.name: program}))
 
     if args.metrics:
         print()

@@ -455,6 +455,46 @@ class TestLoaders:
         assert loaded.events == run_a.events
         assert loaded.time_s == run_a.events[-1]["time"]
 
+    def test_load_trace_passes_unknown_types(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        records = [_instr(0, "nop"), {"type": "custom", "note": 1}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert load_trace(str(path)).events == records
+
+    @pytest.mark.parametrize("lines, problem", [
+        (None, "cannot read trace"),
+        (b"\xff\xfe\n", "cannot read trace"),
+        ([json.dumps(_instr(0, "nop")), "not json"], ":2: not JSON"),
+        (["[1, 2]"], ":1: record is list, not an object"),
+        ([json.dumps({key: value for key, value in _instr(0, "nop").items()
+                      if key != "node"})],
+         ":1: 'instruction' record has no 'node' field"),
+        ([json.dumps(dict(_instr(0, "nop"), energy="1"))],
+         ":1: 'instruction' record field 'energy' is '1', not float"),
+        ([json.dumps({"type": "dispatch", "time": 0.0, "node": "n0.cpu",
+                      "event": "TIMER0", "handler": "H"})],
+         ":1: 'dispatch' record has no 'latency' field"),
+    ])
+    def test_bad_trace_is_a_diff_error(self, tmp_path, capsys, lines,
+                                       problem):
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps(_instr(0, "nop")) + "\n")
+        bad = tmp_path / "bad.jsonl"
+        if isinstance(lines, bytes):
+            bad.write_bytes(lines)
+        elif lines is not None:
+            bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DiffError) as excinfo:
+            load_trace(str(bad))
+        assert str(bad) in str(excinfo.value)
+        assert problem in str(excinfo.value)
+        # The CLI turns it into a usage error (exit 2), no traceback.
+        assert snap_diff_main([str(good), str(bad), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("snap-diff: error: ")
+        assert problem in err
+        assert "Traceback" not in err
+
     def test_capture_from_checkpoint_replays_tail(self, tmp_path):
         sim, horizon = selftest_builder(perturb=False)()
         t = sim.kernel.now + (horizon - sim.kernel.now) * 0.5

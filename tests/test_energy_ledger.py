@@ -2,11 +2,11 @@
 
 The load-bearing guarantees, in order:
 
-1. **Bit-identical line counters** -- the per-(node, pc, handler)
-   energy accumulation is exactly the same under ``fast_path=True`` and
-   the reference engine, on fig5 blink and on the self-modifying STI
-   scenario (the fast path's burst loop must not reorder or coalesce
-   the per-instruction floats).
+1. **Bit-identical line counters** -- the cost table's per-(node, pc,
+   handler, class) rows the line view rolls up are exactly the same
+   under ``fast_path=True`` and the reference engine, on fig5 blink and
+   on the self-modifying STI scenario (the fast path's burst loop must
+   not reorder or coalesce the per-instruction floats).
 2. **Bit-identical meters** -- arming the ledger changes no simulation
    result: meter digests match a bare run exactly.
 3. **Reconciliation** -- every view (lines, layers, packets) attributes
@@ -25,7 +25,11 @@ import pytest
 
 from repro.node import SensorNode
 from repro.obs import Observability
-from repro.obs.energy import layer_split_from_meter, project_lifetime
+from repro.obs.energy import (
+    EnergyLedger,
+    layer_split_from_meter,
+    project_lifetime,
+)
 from repro.obs.watchdog import InvariantViolation
 from repro.sim import meter_digest
 from repro.sim.differential import SCENARIOS
@@ -55,20 +59,43 @@ def _processors(sim):
 
 @pytest.mark.parametrize("name", ["blink", "sti"])
 def test_line_counters_bit_identical_across_engines(name):
-    ledgers = {}
+    tables = {}
     for fast in (True, False):
         obs, _, _, _ = snap_energy.run_scenario(name, fast_path=fast)
-        ledgers[fast] = obs.energy
-    fast, ref = ledgers[True], ledgers[False]
+        tables[fast] = obs.profiler
+    fast, ref = tables[True], tables[False]
     assert fast.instructions == ref.instructions
-    assert fast.energy == ref.energy
-    assert set(fast.by_line) == set(ref.by_line)
-    for key, stat in fast.by_line.items():
-        other = ref.by_line[key]
-        assert stat.count == other.count, key
-        assert stat.energy == other.energy, key   # exact float equality
-        assert stat.time == other.time, key
-        assert stat.mnemonic == other.mnemonic, key
+    assert fast.energy == ref.energy   # exact float equality
+    assert fast.invocations == ref.invocations
+    # Every row's count, energy, time and mnemonic, floats exact.
+    assert fast.rows == ref.rows
+
+
+def test_sti_patch_site_has_one_row_per_class():
+    # The self-modifying scenario rewrites one TIMER0 instruction in
+    # place; the table keeps what ran there apart by class.
+    obs, sim, _, _ = snap_energy.run_scenario("sti")
+    table = obs.profiler
+    sites = {}
+    for (cpu, pc, handler, instr_class), row in table.rows.items():
+        sites.setdefault((cpu, pc, handler), {})[instr_class] = row
+    patched = {site: rows for site, rows in sites.items() if len(rows) > 1}
+    assert len(patched) == 1
+    ((cpu, pc, handler), rows), = patched.items()
+    assert handler == "TIMER0"
+    assert {name: (row[0], row[3]) for name, row in rows.items()} == {
+        "Arith Reg": (50, "add r2, r3"),
+        "Logical Reg": (49, "mov r1, r0"),
+    }
+    # The per-class rows still partition the meter.
+    profiled, metered = table.reconcile(sim.processor.meter)
+    assert profiled == pytest.approx(metered, rel=1e-12)
+    by_class = table.rollup(
+        lambda cpu, pc, handler, instr_class: instr_class)
+    for cls, stats in sim.processor.meter.by_class.items():
+        assert by_class[cls.value][0] == stats.count
+        assert by_class[cls.value][1] == pytest.approx(stats.energy,
+                                                       rel=1e-12)
 
 
 # -- 2. arming the ledger is invisible to the simulation ------------------------
@@ -77,7 +104,7 @@ def test_line_counters_bit_identical_across_engines(name):
 def test_meter_digest_identical_armed_vs_disarmed(name):
     bare = _run_bare(name)
     obs, armed, _, _ = snap_energy.run_scenario(name)
-    assert obs.energy.instructions > 0   # the ledger actually observed
+    assert obs.profiler.instructions > 0   # the table actually observed
     digests_bare = [meter_digest(p) for p in _processors(bare)]
     digests_armed = [meter_digest(p) for p in _processors(armed)]
     assert digests_bare == digests_armed
@@ -97,6 +124,19 @@ def test_views_reconcile_within_tolerance(name):
         assert frac <= snap_energy.DEFAULT_TOLERANCE, (view, frac)
     assert snap_energy._check_reconciliation(
         report, snap_energy.DEFAULT_TOLERANCE) == []
+
+
+def test_packet_view_reconciles_past_the_invocation_cap():
+    # Instructions retired after a core's invocation windows hit the cap
+    # are counted once, in the (non-packet) CPU bucket.
+    sim, horizon = SCENARIOS["sti"](True)
+    obs = Observability(energy=EnergyLedger(max_invocations=3))
+    sim.attach_observability(obs)
+    sim.kernel.run(until=horizon)
+    assert [len(stack) for stack in obs.energy.invocations.values()] == [3]
+    view = obs.energy.packet_view()
+    assert view["residual_frac"] <= snap_energy.DEFAULT_TOLERANCE
+    assert view["non_packet"]["cpu_j"] == obs.profiler.energy
 
 
 def test_convergecast_packets_carry_forwarding_cost():
@@ -187,7 +227,7 @@ def test_energy_budget_silent_when_under():
         "c_blink", budgets={"node1": 1.0})
     assert watchdog is not None
     assert watchdog.checks_run > 0
-    assert obs.energy.instructions > 0
+    assert obs.profiler.instructions > 0
 
 
 # -- 7. battery-lifetime projection ---------------------------------------------

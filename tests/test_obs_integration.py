@@ -118,36 +118,89 @@ class TestProfiler:
         assert profiled == pytest.approx(metered, rel=1e-12)
         assert obs.profiler.instructions == node.meter.instructions
         # Per-handler energies partition the profiled total.
-        assert sum(h.energy for h in obs.profiler.handler_profiles()) == \
+        assert sum(row[1] for row in obs.profiler.handlers().values()) == \
             pytest.approx(profiled, rel=1e-12)
 
     def test_handler_attribution(self):
         obs = Observability(profile=True)
-        _run_blink(obs=obs)
-        tags = {handler.tag for handler in obs.profiler.handler_profiles()}
-        assert "boot" in tags
-        timer = [h for h in obs.profiler.handler_profiles()
-                 if h.tag != "boot"]
-        assert timer and timer[0].invocations >= 2
-        assert timer[0].energy_per_invocation > 0
-        assert timer[0].instructions_per_invocation > 0
+        node = _run_blink(obs=obs)
+        handlers = obs.profiler.handlers()
+        assert {cpu for cpu, _ in handlers} == {node.processor.name}
+        assert "boot" in {tag for _, tag in handlers}
+        timer = [row for (_, tag), row in handlers.items() if tag != "boot"]
+        instructions, energy, time, invocations = timer[0]
+        assert invocations >= 2
+        assert energy / invocations > 0
+        assert instructions / invocations > 0
 
     def test_hotspots_sorted_by_energy(self):
         obs = Observability(profile=True)
         _run_blink(obs=obs)
-        spots = obs.profiler.hotspots(top=5)
-        assert len(spots) == 5
-        energies = [spot.energy for spot in spots]
+        report = obs.profiler.report(top=5)
+        hot = report.split("-- hot PCs (top 5 by energy) --")[1]
+        pcs = [int(line.split()[1], 16) for line in hot.splitlines()[1:]]
+        by_pc = obs.profiler.rollup(
+            lambda node, pc, handler, instr_class: pc)
+        assert len(pcs) == 5
+        energies = [by_pc[pc][1] for pc in pcs]
         assert energies == sorted(energies, reverse=True)
-        assert all(spot.mnemonic for spot in spots)
+        assert energies[0] == max(row[1] for row in by_pc.values())
+        assert all(by_pc[pc][3] for pc in pcs)
 
     def test_report_mentions_handlers_and_hotspots(self):
         obs = Observability(profile=True)
-        _run_blink(obs=obs)
+        node = _run_blink(obs=obs)
         report = obs.profiler.report(top=3)
         assert "-- handlers (by energy) --" in report
         assert "-- hot PCs (top 3 by energy) --" in report
         assert "boot" in report
+        hot = report.split("-- hot PCs")[1].splitlines()[1:]
+        assert len(hot) == 3
+        assert all(line.split()[0] == node.processor.name for line in hot)
+
+    def test_one_image_on_two_nodes_keeps_per_node_rows(self):
+        # One linked program on both receivers; only node 1 is in range
+        # of the sender, and node 2 runs at another voltage.  A table
+        # keyed by bare handler or pc would fold the two together.
+        receiver = build(RECEIVER)
+        net = NetworkSimulator(seed=7, comm_range=10.0)
+        net.add_node(0, program=build(SENDER))
+        net.add_node(1, program=receiver)
+        net.add_node(2, program=receiver, position=(1e6, 0.0),
+                     config=CoreConfig(voltage=1.8))
+        obs = Observability(profile=True)
+        net.attach_observability(obs)
+        net.run(until=0.05)
+        assert net.nodes[1].processor.dmem.peek(0) == 0x1234
+
+        handlers = obs.profiler.handlers()
+        for node_id in (1, 2):
+            node = net.nodes[node_id]
+            cpu = node.processor.name
+            rows = {tag: row for (name, tag), row in handlers.items()
+                    if name == cpu}
+            meter = {tag: stats for tag, stats in
+                     node.meter.by_handler.items() if stats.instructions}
+            assert set(rows) == set(meter), cpu
+            for tag, (instructions, energy, _, invocations) in rows.items():
+                assert instructions == meter[tag].instructions, (cpu, tag)
+                assert invocations == meter[tag].invocations, (cpu, tag)
+                assert energy == pytest.approx(meter[tag].energy,
+                                               rel=1e-12), (cpu, tag)
+        cpu1, cpu2 = (net.nodes[i].processor.name for i in (1, 2))
+        assert (cpu1, "RADIO_RX") in handlers
+        assert (cpu2, "RADIO_RX") not in handlers
+        # The shared boot code has one row per node, each with that
+        # node's own energy.
+        boot = {}
+        for (cpu, pc, tag, _), row in obs.profiler.rows.items():
+            if tag == "boot" and cpu in (cpu1, cpu2):
+                boot.setdefault(pc, {})[cpu] = row
+        assert boot
+        for pc, per_node in boot.items():
+            assert set(per_node) == {cpu1, cpu2}, pc
+            assert per_node[cpu1][0] == per_node[cpu2][0], pc
+            assert per_node[cpu1][1] != per_node[cpu2][1], pc
 
 
 class TestMetricsWiring:

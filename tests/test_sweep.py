@@ -180,6 +180,22 @@ class TestPooledSweep:
         assert failed["error"]
         json.dumps(result.payload())
 
+    def test_crash_in_first_cell_spares_the_rest(self):
+        # The poisoned cell breaks the pool while the others are queued
+        # or running; they re-run alone and only cell 0 fails.
+        sweep = Sweep(scenario="_test_crash_on",
+                      grid={"x": [1, 2, 3, 4, 5, 6]}, fixed={"poison": 1})
+        result = run_sweep(sweep, workers=2)
+        assert [cell["index"] for cell in result.ok_cells] == [1, 2, 3, 4,
+                                                               5]
+        for cell in result.ok_cells:
+            x = cell["params"]["x"]
+            assert cell["replicas"] == [{"x": x, "digest": {"x": x}}]
+        (failed,) = result.failed_cells
+        assert failed["index"] == 0
+        assert "BrokenProcessPool" in failed["error"]
+        assert not result.interrupted
+
     def test_diverging_cells_reports_the_difference(self):
         base = Sweep(scenario="_test_echo", grid={"x": [1, 2]},
                      base_seed=0)
