@@ -11,9 +11,9 @@ Cooperating pieces, all opt-in and zero-cost when detached:
 * a **cost table** (:mod:`repro.obs.profiler`): instructions, energy
   and time per (node, pc, handler, instruction class), reconciling
   against the :class:`~repro.energy.accounting.EnergyMeter`.  The
-  profile report (CLI: ``snap-prof``), the energy ledger's line and
-  layer views and the differential analyzer's delta tables are
-  roll-ups of it;
+  profile report (CLI: ``snap-run --profile``), the energy ledger's
+  line and layer views and the differential analyzer's delta tables
+  are roll-ups of it;
 * an **energy ledger** (:mod:`repro.obs.energy`) attributing every
   picojoule to guest source lines (collapsed-stack / speedscope flame
   graphs) and protocol layers by rolling up the cost table, and to
@@ -49,7 +49,7 @@ Typical use::
     print(obs.profiler.report())       # per-node handlers + hot PCs
     print(obs.metrics.snapshot())
 
-The ``snap-prof`` CLI (``python -m repro.tools.snap_prof``) wraps this
+``snap-run --profile`` (``python -m repro.tools.snap_run``) wraps this
 for one-shot program profiling.  See ``docs/OBSERVABILITY.md``.
 """
 

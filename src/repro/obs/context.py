@@ -129,10 +129,13 @@ class Observability:
     def instruction_retired(self, node, time, pc, instruction, handler,
                             energy, duration):
         self.metrics.counter(node + ".instructions").inc()
-        self.bus.emit(InstructionRetired(
-            time=time, node=node, pc=pc, mnemonic=instruction.text(),
-            instr_class=instruction.spec.instr_class.value,
-            handler=handler, energy=energy, duration=duration))
+        # An empty bus would drop the event, and building it (the
+        # mnemonic text most of all) costs more than the counter.
+        if self.bus.sinks:
+            self.bus.emit(InstructionRetired(
+                time=time, node=node, pc=pc, mnemonic=instruction.text(),
+                instr_class=instruction.spec.instr_class.value,
+                handler=handler, energy=energy, duration=duration))
         if self.flight is not None:
             self.flight.record_instruction(node, time, pc, instruction,
                                            handler, energy)

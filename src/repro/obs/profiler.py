@@ -13,10 +13,10 @@ bus, or recorded ``to_record()`` dicts via :meth:`Profiler.from_records`
 * :attr:`~Profiler.invocations`: dispatch counts per ``(node, handler)``;
 * running ``instructions`` / ``energy`` / ``time`` totals.
 
-The handler and hot-PC report below (``snap-prof``; the software view
-of the paper's Table 1), the energy ledger's source-line and layer views
-(``snap-energy``), and ``snap-diff``'s per-handler, per-pc, per-class,
-per-layer, per-line and per-node deltas are all
+The handler and hot-PC report below (``snap-run --profile``; the
+software view of the paper's Table 1), the energy ledger's source-line
+and layer views (``snap-energy``), and ``snap-diff``'s per-handler,
+per-pc, per-class, per-layer, per-line and per-node deltas are all
 :meth:`~Profiler.rollup` s of those rows.  Rows are keyed by node, so
 nodes running one image never merge.
 

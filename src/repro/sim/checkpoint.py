@@ -46,10 +46,14 @@ Schema
 
 ``Checkpoint.data`` is a plain dict with ``schema ==
 "repro.sim.checkpoint/1"``; loading any other version raises
-:class:`CheckpointVersionError`.  ``tests/goldens/checkpoint_v1.json``
-pins the layout against accidental drift.
+:class:`CheckpointVersionError`.  A missing, mistyped or empty field
+raises :class:`CheckpointError` naming it -- at construction for the
+top-level fields, in :func:`restore` for the rest.
+``tests/goldens/checkpoint_v1.json`` pins the layout against accidental
+drift.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -106,7 +110,7 @@ class Checkpoint:
     """A captured simulation state: a JSON-able dict plus conveniences."""
 
     def __init__(self, data):
-        _require_schema(data)
+        _validate(data)
         self.data = data
 
     @property
@@ -129,7 +133,12 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, text):
-        return cls(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as error:
+            raise CheckpointError("checkpoint is not JSON: %s" % error) \
+                from error
+        return cls(data)
 
     def save(self, path):
         with open(path, "w") as handle:
@@ -147,10 +156,44 @@ class Checkpoint:
         return restore(self)
 
 
-def _require_schema(data):
+#: Top-level fields of every checkpoint and the JSON types they hold
+#: (``network`` checkpoints also hold a ``channel`` object).
+_FIELDS = {"kind": (str,), "time_s": (int, float), "kernel": (dict,),
+           "nodes": (list,)}
+
+
+def _validate(data):
     if not isinstance(data, dict) or data.get("schema") != SCHEMA:
         found = data.get("schema") if isinstance(data, dict) else None
         raise CheckpointVersionError(found)
+    fields = _FIELDS
+    if data.get("kind") == "network":
+        fields = dict(_FIELDS, channel=(dict,))
+    for name, types in fields.items():
+        if name not in data:
+            raise CheckpointError("checkpoint field %r is missing" % name)
+        if not isinstance(data[name], types):
+            raise CheckpointError(
+                "checkpoint field %r is %s, not %s"
+                % (name, type(data[name]).__name__,
+                   " or ".join(kind.__name__ for kind in types)))
+    if not data["nodes"]:
+        raise CheckpointError("checkpoint field 'nodes' is empty")
+
+
+@contextlib.contextmanager
+def _reading(where):
+    """Re-raise a lookup or type error met while restoring *where* as a
+    :class:`CheckpointError` naming it."""
+    try:
+        yield
+    except KeyError as error:
+        raise CheckpointError("checkpoint %s: missing field %s"
+                              % (where, error)) from error
+    except (TypeError, IndexError, ValueError, AttributeError) as error:
+        raise CheckpointError("checkpoint %s: %s: %s"
+                              % (where, type(error).__name__, error)) \
+            from error
 
 
 # -- small codecs -------------------------------------------------------------
@@ -818,44 +861,51 @@ def restore(checkpoint):
 
     if isinstance(checkpoint, dict):
         checkpoint = Checkpoint(checkpoint)
-    _require_schema(checkpoint.data)
+    _validate(checkpoint.data)
     data = checkpoint.data
 
     if checkpoint.kind == "node":
-        state = data["nodes"][0]
-        node = SensorNode(
-            node_id=state["id"], name=state["name"],
-            config=_restore_config(state["config"]),
-            radio_config=RadioConfig(**state["radio_config"]),
-            position=tuple(state["position"]))
-        _restore_node_state(node, state)
-        _restore_kernel(node.kernel, data["kernel"],
-                        {str(state["id"]): node})
+        with _reading("nodes[0]"):
+            state = data["nodes"][0]
+            node = SensorNode(
+                node_id=state["id"], name=state["name"],
+                config=_restore_config(state["config"]),
+                radio_config=RadioConfig(**state["radio_config"]),
+                position=tuple(state["position"]))
+            _restore_node_state(node, state)
+        with _reading("kernel"):
+            _restore_kernel(node.kernel, data["kernel"],
+                            {str(state["id"]): node})
         return node
     if checkpoint.kind != "network":
         raise CheckpointError("unknown checkpoint kind %r"
                               % (checkpoint.kind,))
 
     channel_state = data["channel"]
-    net = NetworkSimulator(comm_range=channel_state["comm_range"],
-                           bit_error_rate=channel_state["bit_error_rate"],
-                           corruption=channel_state["corruption"])
+    with _reading("channel"):
+        net = NetworkSimulator(
+            comm_range=channel_state["comm_range"],
+            bit_error_rate=channel_state["bit_error_rate"],
+            corruption=channel_state["corruption"])
     nodes_by_key = {}
-    for state in data["nodes"]:
+    for index, state in enumerate(data["nodes"]):
         # add_node() cannot carry a custom name, so nodes are rebuilt
         # the way it builds them: construct, join the channel (order
         # matters -- delivery fan-out follows join order), register.
-        node = SensorNode(
-            kernel=net.kernel, node_id=state["id"], name=state["name"],
-            config=_restore_config(state["config"]),
-            radio_config=RadioConfig(**state["radio_config"]),
-            position=tuple(state["position"]))
-        net.channel.join(node.radio)
-        net.nodes[state["id"]] = node
-        _restore_node_state(node, state)
-        nodes_by_key[str(state["id"])] = node
-    _restore_channel(net.channel, channel_state, nodes_by_key)
-    _restore_kernel(net.kernel, data["kernel"], nodes_by_key)
+        with _reading("nodes[%d]" % index):
+            node = SensorNode(
+                kernel=net.kernel, node_id=state["id"], name=state["name"],
+                config=_restore_config(state["config"]),
+                radio_config=RadioConfig(**state["radio_config"]),
+                position=tuple(state["position"]))
+            net.channel.join(node.radio)
+            net.nodes[state["id"]] = node
+            _restore_node_state(node, state)
+            nodes_by_key[str(state["id"])] = node
+    with _reading("channel"):
+        _restore_channel(net.channel, channel_state, nodes_by_key)
+    with _reading("kernel"):
+        _restore_kernel(net.kernel, data["kernel"], nodes_by_key)
     return net
 
 

@@ -1,9 +1,23 @@
-"""The tool-chain's simple image file format.
+"""The tool-chain's program files: assembly sources and ``.hex`` images.
 
 A ``.hex`` image is line-oriented text: a header line per section
 (``@text`` / ``@data``), then one 4-digit hex word per line.  Comments
-start with ``#``.  Human-diffable, trivially parseable.
+start with ``#``.  Human-diffable, trivially parseable.  Assembly
+sources are read by :func:`load_program`, the loader ``snap-as`` and
+``snap-run`` share.
 """
+
+from repro.asm import assemble, link
+
+
+def load_program(paths):
+    """Assemble the sources at *paths* and link them, in order, into one
+    :class:`~repro.asm.Program` (with its symbols and line table)."""
+    modules = []
+    for path in paths:
+        with open(path) as handle:
+            modules.append(assemble(handle.read(), name=path))
+    return link(modules)
 
 
 def dump_program(program):

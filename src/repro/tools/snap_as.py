@@ -8,8 +8,8 @@ Usage::
 import argparse
 import sys
 
-from repro.asm import AsmError, LinkError, assemble, link
-from repro.tools.hexfile import dump_program
+from repro.asm import AsmError, LinkError
+from repro.tools.hexfile import dump_program, load_program
 
 
 def build_parser():
@@ -26,12 +26,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    modules = []
     try:
-        for path in args.sources:
-            with open(path) as handle:
-                modules.append(assemble(handle.read(), name=path))
-        program = link(modules)
+        program = load_program(args.sources)
     except (AsmError, LinkError, OSError) as error:
         print("snap-as: %s" % error, file=sys.stderr)
         return 1

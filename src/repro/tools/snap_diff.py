@@ -44,6 +44,7 @@ from repro.obs.diff import (
     render_markdown,
     self_test,
 )
+from repro.sim.checkpoint import CheckpointError
 
 TRACE_SUFFIXES = (".jsonl", ".ndjson")
 
@@ -174,7 +175,7 @@ def main(argv=None):
         if not (args.run_a and args.run_b):
             parser.error("two runs required (or --self-test)")
         return _run_diff(args)
-    except DiffError as error:
+    except (DiffError, CheckpointError) as error:
         print("snap-diff: error: %s" % error, file=sys.stderr)
         return 2
 

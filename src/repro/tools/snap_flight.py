@@ -42,9 +42,25 @@ __handler void on_timer() {
 """
 
 
+class BundleError(Exception):
+    """A file that is not a ``repro.obs.crash-bundle/1`` bundle."""
+
+
 def _load_bundle(path):
-    with open(path) as handle:
-        return json.load(handle)
+    from repro.obs.postmortem import SCHEMA
+
+    try:
+        with open(path) as handle:
+            bundle = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise BundleError("%s: %s" % (path, error)) from error
+    if not isinstance(bundle, dict):
+        raise BundleError("%s: not a crash bundle (a JSON %s, not an "
+                          "object)" % (path, type(bundle).__name__))
+    if bundle.get("schema") != SCHEMA:
+        raise BundleError("%s: schema %r is not %r"
+                          % (path, bundle.get("schema"), SCHEMA))
+    return bundle
 
 
 def cmd_inspect(args):
@@ -233,17 +249,6 @@ def main(argv=None):
         prog="snap-flight",
         description="Inspect, replay, and demo flight-recorder crash "
                     "bundles.")
-    # Top-level --demo-crash is a convenience spelling of the
-    # ``demo-crash`` subcommand (handy in CI one-liners).
-    parser.add_argument("--demo-crash", action="store_true",
-                        help="run the demo faulting guest and write a "
-                             "bundle (same as the demo-crash subcommand)")
-    parser.add_argument("--out", default="crash-bundles",
-                        help="bundle output directory (default "
-                             "crash-bundles)")
-    parser.add_argument("--mode", choices=DEMO_MODES, default="fault",
-                        help="demo failure: guest fault, meter invariant, "
-                             "or leaked kernel handle (default fault)")
     sub = parser.add_subparsers(dest="command")
 
     inspect = sub.add_parser("inspect",
@@ -265,18 +270,26 @@ def main(argv=None):
     demo = sub.add_parser("demo-crash",
                           help="run a deliberately faulting guest and "
                                "write its bundle")
-    demo.add_argument("--out", default="crash-bundles")
-    demo.add_argument("--mode", choices=DEMO_MODES, default="fault")
+    demo.add_argument("--out", default="crash-bundles",
+                      help="bundle output directory (default "
+                           "crash-bundles)")
+    demo.add_argument("--mode", choices=DEMO_MODES, default="fault",
+                      help="demo failure: guest fault, meter invariant, "
+                           "or leaked kernel handle (default fault)")
 
     args = parser.parse_args(argv)
-    if args.command == "inspect":
-        return cmd_inspect(args)
-    if args.command == "replay-tail":
-        return cmd_replay_tail(args)
-    if args.command == "demo-crash" or args.demo_crash:
-        return cmd_demo_crash(args)
-    parser.print_help()
-    return 2
+    command = {"inspect": cmd_inspect, "replay-tail": cmd_replay_tail,
+               "demo-crash": cmd_demo_crash}.get(args.command)
+    if command is None:
+        parser.print_help()
+        return 2
+    from repro.sim.checkpoint import CheckpointError
+
+    try:
+        return command(args)
+    except (BundleError, CheckpointError) as error:
+        print("snap-flight: error: %s" % error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

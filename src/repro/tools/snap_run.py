@@ -1,7 +1,12 @@
 """``snap-run``: execute a program on the simulated SNAP/LE core.
 
-Accepts either assembly sources (assembled on the fly) or a ``.hex``
-image.  Prints the run's statistics; optionally an instruction trace.
+Accepts either assembly sources (assembled and linked on the fly, so
+pcs symbolicate to source lines) or a ``.hex`` image.  Prints the run's
+statistics; optionally an instruction trace and, with ``--profile``, the
+per-handler / hot-PC profile (the software side of the paper's Table 1).
+``--jsonl`` and ``--chrome`` export the typed event trace, which ends
+with one cumulative ``energy`` record; ``--metrics`` prints the metrics
+registry.
 
 The run executes on a full :class:`~repro.node.SensorNode` (core plus
 radio, LED port, and coprocessors), so it can be frozen mid-flight:
@@ -21,6 +26,8 @@ Usage::
 
     python -m repro.tools.snap_run program.s --voltage 0.6 --until 1e-3
     python -m repro.tools.snap_run image.hex --trace --max-trace 50
+    python -m repro.tools.snap_run program.s --profile --top 20 \
+        --jsonl trace.jsonl --chrome trace.json --metrics
     python -m repro.tools.snap_run app.s --until 2.0 \
         --checkpoint-every 0.5 --checkpoint-path app.ckpt.json
     python -m repro.tools.snap_run --resume app.ckpt.json --until 2.0
@@ -29,18 +36,23 @@ Usage::
 """
 
 import argparse
+import json
 import sys
 
-from repro.asm import AsmError, LinkError, assemble, link
+from repro.asm import AsmError, LinkError
 from repro.core import CoreConfig, SimulationError
 from repro.core.trace import Tracer
 from repro.node import SensorNode
+from repro.obs import JsonlSink, MemorySink, Observability, write_chrome_trace
 from repro.sim.checkpoint import Checkpoint, CheckpointError, capture
-from repro.tools.hexfile import load_words
+from repro.tools.hexfile import load_program, load_words
 
 DEFAULT_CHECKPOINT_PATH = "snap-run.ckpt.json"
 
 DEFAULT_TELEMETRY_INTERVAL = 0.05
+
+#: In-memory trace ring size for the ``--chrome`` export, in events.
+CHROME_BUFFER_LIMIT = 1_000_000
 
 
 def _progress_printer(stream=None):
@@ -75,9 +87,10 @@ def _progress_printer(stream=None):
     return emit
 
 
-def _build_exporter(node, args):
-    """Arm a telemetry exporter per the --telemetry*/--progress flags;
-    returns ``None`` when none were given."""
+def _build_exporter(node, args, obs):
+    """Arm a telemetry exporter per the --telemetry*/--progress flags,
+    on the run's observability context *obs* if it has one; returns
+    ``None`` when none were given."""
     if not (args.telemetry or args.telemetry_port is not None
             or args.progress):
         return None
@@ -101,45 +114,42 @@ def _build_exporter(node, args):
         transport = NullTransport()
     on_progress = _progress_printer() if args.progress else None
     exporter = TelemetryExporter.for_node(
-        node, transport, interval=args.telemetry_interval,
+        node, transport, interval=args.telemetry_interval, obs=obs,
         on_progress=on_progress)
     exporter.start(horizon=args.until)
     return exporter
 
 
-def load_program(paths):
-    """Link assembled ``.s`` inputs into a :class:`~repro.asm.Program`.
-
-    Returns ``None`` for a ``.hex`` image -- raw word dumps carry no
-    symbols or line table, so there is nothing to symbolicate.
-    """
-    if len(paths) == 1 and paths[0].endswith(".hex"):
-        return None
-    modules = []
-    for path in paths:
-        with open(path) as handle:
-            modules.append(assemble(handle.read(), name=path))
-    return link(modules)
-
-
-def load_program_words(paths):
-    """Return (imem, dmem) from .hex or assembled .s inputs."""
-    program = load_program(paths)
-    if program is None:
-        with open(paths[0]) as handle:
-            return load_words(handle.read())
-    return program.imem, program.dmem
-
-
 def _build_node(args):
-    imem, dmem = load_program_words(args.inputs)
     node = SensorNode(config=CoreConfig(
         voltage=args.voltage,
         max_instructions=args.max_instructions))
-    node.processor.imem.load_image(imem)
-    node.processor.dmem.load_image(dmem)
-    node.loaded = True
+    if len(args.inputs) == 1 and args.inputs[0].endswith(".hex"):
+        # Raw words: an image carries no symbols or line table.
+        with open(args.inputs[0]) as handle:
+            imem, dmem = load_words(handle.read())
+        node.processor.imem.load_image(imem)
+        node.processor.dmem.load_image(dmem)
+        node.loaded = True
+    else:
+        node.load(load_program(args.inputs))
     return node
+
+
+def _build_obs(node, args):
+    """Arm one profiling context on *node* for --profile, --jsonl,
+    --chrome or --metrics; returns ``(obs, memory, jsonl)``, each
+    ``None`` when not wanted (*memory* is the ring --chrome reads)."""
+    if not (args.profile or args.jsonl or args.chrome or args.metrics):
+        return None, None, None
+    obs = Observability(profile=True)
+    memory = jsonl = None
+    if args.chrome:
+        memory = obs.bus.attach(MemorySink(limit=CHROME_BUFFER_LIMIT))
+    if args.jsonl:
+        jsonl = obs.bus.attach(JsonlSink(args.jsonl))
+    node.attach_observability(obs)
+    return obs, memory, jsonl
 
 
 def _resume_node(args):
@@ -216,15 +226,31 @@ def main(argv=None):
     parser.add_argument("--progress", action="store_true",
                         help="print a heartbeat line (sim time, wall time, "
                         "events/s, ETA) to stderr while running")
+    parser.add_argument("--profile", action="store_true",
+                        help="print the per-handler and hot-PC time and "
+                        "energy profile after the run")
+    parser.add_argument("--top", type=int, default=10,
+                        help="hot PCs in the profile (default 10)")
+    parser.add_argument("--jsonl", metavar="PATH",
+                        help="stream the typed event trace to PATH (JSONL)")
+    parser.add_argument("--chrome", metavar="PATH",
+                        help="write a chrome://tracing timeline to PATH")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the metrics registry snapshot as JSON")
     args = parser.parse_args(argv)
 
     if bool(args.inputs) == bool(args.resume):
         parser.error("give either program inputs or --resume, not both")
     if args.checkpoint_every and args.until is None:
         parser.error("--checkpoint-every needs --until (a run horizon)")
+    if args.profile and args.resume:
+        # The meter carries the energy spent before the checkpoint; the
+        # profile would only see the resumed tail.
+        parser.error("--profile attributes a whole run; not with --resume")
 
     try:
         node = _resume_node(args) if args.resume else _build_node(args)
+        obs, memory, jsonl = _build_obs(node, args)
     except (AsmError, LinkError, CheckpointError, OSError,
             ValueError) as error:
         print("snap-run: %s" % error, file=sys.stderr)
@@ -239,7 +265,7 @@ def main(argv=None):
     if args.checkpoint_every and not checkpoint_path:
         checkpoint_path = DEFAULT_CHECKPOINT_PATH
 
-    exporter = _build_exporter(node, args)
+    exporter = _build_exporter(node, args, obs)
 
     processor = node.processor
     resumed_at = processor.kernel.now
@@ -253,6 +279,14 @@ def main(argv=None):
             exporter.close()
             if args.progress and exporter.on_progress is not None:
                 exporter.on_progress.finish()
+        if obs is not None:
+            # Final cumulative sample, after the exporter's last flush,
+            # so the trace always ends with totals.
+            obs.energy_sample(processor.name, processor.kernel.now,
+                              processor.meter.total_energy,
+                              processor.meter.instructions)
+        if jsonl is not None:
+            jsonl.close()
 
     if tracer is not None:
         print(tracer.format())
@@ -270,6 +304,25 @@ def main(argv=None):
         words = processor.dmem.dump(0, args.dump_dmem)
         print("dmem[0:%d]   : %s"
               % (args.dump_dmem, " ".join("%04x" % word for word in words)))
+    if args.profile:
+        profiled, metered = obs.profiler.reconcile(meter)
+        print("attribution  : profiled %.3f nJ vs metered %.3f nJ "
+              "(non-instruction: %.3f nJ wakeup+token+idle)"
+              % (profiled * 1e9, metered * 1e9,
+                 (meter.total_energy - metered) * 1e9))
+        print()
+        print(obs.profiler.report(
+            top=args.top, programs={processor.name: processor.program}))
+    if args.metrics:
+        print()
+        print(json.dumps(obs.metrics.snapshot(), indent=2))
+    if jsonl is not None:
+        print()
+        print("jsonl trace  : %s (%d events)" % (args.jsonl, jsonl.count))
+    if memory is not None:
+        write_chrome_trace(memory.events, args.chrome)
+        print("chrome trace : %s (%d events; open in chrome://tracing)"
+              % (args.chrome, len(memory)))
     return 0
 
 

@@ -222,6 +222,36 @@ class TestSnapFlightCli:
         replay = capsys.readouterr().out
         assert "crash.c:" in replay
 
+    @pytest.mark.parametrize("content", [None, "[]", '{"hello": 1}'],
+                             ids=["truncated", "array", "no-schema"])
+    def test_non_bundles_are_usage_errors(self, tmp_path, capsys, content):
+        if content is None:  # the golden bundle, cut short
+            with open(GOLDEN) as handle:
+                content = handle.read()[:2000]
+        path = tmp_path / "crash.json"
+        path.write_text(content)
+        for command in ("inspect", "replay-tail"):
+            assert snap_flight_main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                "snap-flight: error: %s: " % path)
+            assert captured.out == ""
+
+    def test_replay_of_a_malformed_checkpoint_is_a_usage_error(
+            self, tmp_path, capsys):
+        checkpoint_golden = os.path.join(os.path.dirname(__file__),
+                                         "goldens", "checkpoint_v1.json")
+        with open(checkpoint_golden) as handle:
+            checkpoint = json.load(handle)
+        del checkpoint["nodes"]
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps({
+            "schema": "repro.obs.crash-bundle/1", "time_s": 0.1,
+            "nodes": {}, "checkpoint": checkpoint}))
+        assert snap_flight_main(["replay-tail", str(path), "--replay"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "snap-flight: error: checkpoint field 'nodes' is missing")
+
     def test_demo_fault_line_is_a_store(self):
         # The CI smoke greps for `last C line : crash.c:`; make sure the
         # demo guest still contains the faulting store it symbolicates.

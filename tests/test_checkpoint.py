@@ -42,6 +42,7 @@ from repro.sim.differential import (
     digest_diff,
 )
 from repro.sim.differential import main as differential_main
+from repro.tools.snap_diff import main as snap_diff_main
 from repro.tools.snap_flight import main as snap_flight_main
 from repro.tools.snap_run import main as snap_run_main
 
@@ -303,6 +304,80 @@ class TestSchemaVersioning:
         with open(GOLDEN) as handle:
             golden = json.load(handle)
         assert data == golden
+
+
+# -- malformed checkpoints ----------------------------------------------------
+
+#: Corruptions of the golden's ``nodes`` field: deleted (``None``),
+#: mistyped, and empty.
+MALFORMED_NODES = pytest.mark.parametrize(
+    "value", [None, "node0", []], ids=["deleted", "mistyped", "empty"])
+
+
+def _golden():
+    with open(GOLDEN) as handle:
+        return json.load(handle)
+
+
+def _malformed_golden(tmp_path, value):
+    data = _golden()
+    if value is None:
+        del data["nodes"]
+    else:
+        data["nodes"] = value
+    path = tmp_path / "malformed.ckpt.json"
+    path.write_text(json.dumps(data))
+    return data, str(path)
+
+
+class TestMalformedCheckpoint:
+    @MALFORMED_NODES
+    def test_restore_names_the_field(self, tmp_path, value):
+        data, path = _malformed_golden(tmp_path, value)
+        with pytest.raises(CheckpointError, match="'nodes'"):
+            restore(data)
+        with pytest.raises(CheckpointError, match="'nodes'"):
+            Checkpoint.load(path)
+
+    @MALFORMED_NODES
+    def test_snap_run_resume_reports_it(self, tmp_path, capsys, value):
+        _, path = _malformed_golden(tmp_path, value)
+        assert snap_run_main(["--resume", path, "--until", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("snap-run: ") and "'nodes'" in err
+
+    @MALFORMED_NODES
+    def test_snap_diff_is_a_usage_error(self, tmp_path, capsys, value):
+        _, path = _malformed_golden(tmp_path, value)
+        assert snap_diff_main([path, path, "--until", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("snap-diff: error: ") and "'nodes'" in err
+
+    def test_missing_kind_is_rejected_at_construction(self):
+        data = _golden()
+        del data["kind"]
+        with pytest.raises(CheckpointError, match="'kind'"):
+            Checkpoint(data)
+
+    def test_nested_field_errors_are_chained(self):
+        missing = _golden()
+        del missing["nodes"][0]["processor"]["pc"]
+        with pytest.raises(CheckpointError, match=r"nodes\[0\].*'pc'") \
+                as excinfo:
+            restore(missing)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+        mistyped = _golden()
+        mistyped["kernel"]["events"] = [7]
+        with pytest.raises(CheckpointError, match="kernel") as excinfo:
+            restore(mistyped)
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
+    def test_non_json_file_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "cut.ckpt.json"
+        with open(GOLDEN) as handle:
+            path.write_text(handle.read()[:100])
+        with pytest.raises(CheckpointError, match="not JSON"):
+            Checkpoint.load(str(path))
 
 
 # -- capture policy and error paths -------------------------------------------

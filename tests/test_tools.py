@@ -9,7 +9,6 @@ from repro.tools.hexfile import dump_program, load_words
 from repro.tools.snap_as import main as as_main
 from repro.tools.snap_cc import main as cc_main
 from repro.tools.snap_dis import main as dis_main
-from repro.tools.snap_prof import main as prof_main
 from repro.tools.snap_run import main as run_main
 
 SAMPLE_ASM = """
@@ -111,29 +110,31 @@ class TestCliTools:
         assert "budget" in capsys.readouterr().err
 
 
-class TestSnapProf:
+class TestSnapRunProfile:
     def _source(self, tmp_path):
         source_path = tmp_path / "prog.s"
         source_path.write_text(SAMPLE_ASM)
         return str(source_path)
 
     def test_profile_smoke(self, tmp_path, capsys):
-        assert prof_main([self._source(tmp_path)]) == 0
+        assert run_main([self._source(tmp_path), "--profile"]) == 0
         output = capsys.readouterr().out
         assert "attribution  :" in output
         assert "-- handlers (by energy) --" in output
         assert "boot" in output
         assert "-- hot PCs" in output
+        # Linked .s inputs symbolicate their hot PCs to source lines.
+        assert "prog.s:" in output
 
     def test_trace_exports(self, tmp_path, capsys):
         import json
 
         jsonl_path = tmp_path / "trace.jsonl"
         chrome_path = tmp_path / "trace.json"
-        assert prof_main([self._source(tmp_path),
-                          "--jsonl", str(jsonl_path),
-                          "--chrome", str(chrome_path),
-                          "--metrics", "--top", "3"]) == 0
+        assert run_main([self._source(tmp_path),
+                         "--jsonl", str(jsonl_path),
+                         "--chrome", str(chrome_path),
+                         "--metrics", "--top", "3"]) == 0
         output = capsys.readouterr().out
         assert "jsonl trace" in output and "chrome trace" in output
 
@@ -152,13 +153,29 @@ class TestSnapProf:
         snapshot = json.loads(snapshot_text)
         instructions = sum(1 for record in lines
                            if record["type"] == "instruction")
-        assert snapshot["snap.instructions"] == instructions
+        assert snapshot["node0.cpu.instructions"] == instructions
 
     def test_bad_input_reports_error(self, tmp_path, capsys):
         source_path = tmp_path / "bad.s"
         source_path.write_text("bogus r1, r2\n")
-        assert prof_main([str(source_path)]) == 1
-        assert "snap-prof" in capsys.readouterr().err
+        assert run_main([str(source_path), "--profile"]) == 1
+        assert "snap-run" in capsys.readouterr().err
+
+    def test_trace_ends_with_energy_when_telemetry_is_armed(self, tmp_path,
+                                                           capsys):
+        import json
+
+        jsonl_path = tmp_path / "trace.jsonl"
+        assert run_main([self._source(tmp_path), "--jsonl", str(jsonl_path),
+                         "--telemetry", str(tmp_path / "t.ndjson")]) == 0
+        records = [json.loads(line)
+                   for line in jsonl_path.read_text().splitlines()]
+        assert any(record["type"] == "timeline" for record in records)
+        assert records[-1]["type"] == "energy"
+
+    def test_profile_is_not_for_resumed_runs(self):
+        with pytest.raises(SystemExit):
+            run_main(["--resume", "x.ckpt.json", "--profile"])
 
 
 class TestDebugger:
