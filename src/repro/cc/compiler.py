@@ -1,6 +1,6 @@
 """Compiler driver: C source to SNAP assembly, and full node builds."""
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.cc.codegen import CodeGenerator
 from repro.cc.parser import parse
 from repro.cc.runtime import runtime_source
@@ -51,11 +51,11 @@ def build_c_node(source, handlers=None, node_id=0, start_rx=False,
         init_calls=init_calls, node_id=node_id, start_rx=start_rx)
     # The runtime scratch words (NODE_ID, MAC counters, ...) occupy the
     # bottom of DMEM; keep C globals clear of them.
-    reserved = assemble(".data\n.space 16\n", name="lowmem")
-    modules = [assemble(boot, name="boot"),
+    reserved = assemble_shared(".data\n.space 16\n", name="lowmem")
+    modules = [assemble_shared(boot, name="boot"),
                reserved,
-               assemble(asm_text, name="cprog"),
-               assemble(runtime_source(), name="crt")]
+               assemble_shared(asm_text, name="cprog"),
+               assemble_shared(runtime_source(), name="crt")]
     for index, text in enumerate(extra_modules):
-        modules.append(assemble(text, name="extra%d" % index))
+        modules.append(assemble_shared(text, name="extra%d" % index))
     return link(modules)

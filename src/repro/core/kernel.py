@@ -199,6 +199,3 @@ class Kernel:
             raise ValueError("cannot advance backwards (%r < %r)"
                              % (time, self._now))
         self._now = time
-
-    # Backwards-compatible alias (pre-burst internal name).
-    _peek_time = next_time

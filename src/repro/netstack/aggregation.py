@@ -17,7 +17,7 @@ Packet types (extending the DATA/RREQ/RREP/ACK space):
 Ops: 1 = MAX, 2 = SUM (the sink divides by the count for the average).
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.layout import APP_BASE_ADDR, equates
 from repro.netstack.mac import mac_source
@@ -338,6 +338,6 @@ def build_aggregation_node(node_id):
         node_id=node_id,
         start_rx=True,
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aggregation_source(), name="agg")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aggregation_source(), name="agg")])

@@ -16,7 +16,7 @@
 AODV + threshold app) for multi-hop experiments.
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.aodv import aodv_source
 from repro.netstack.layout import APP_DATA, APP_BASE_ADDR, equates
@@ -167,8 +167,9 @@ def build_temperature_app(period_ticks=TEMP_PERIOD_TICKS):
         init_calls=("temp_init",),
         extra="    jal temp_arm_timer",
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(temperature_source(period_ticks), name="temp")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(temperature_source(period_ticks),
+                                 name="temp")])
 
 
 # -- Range Comparison / Threshold ------------------------------------------------
@@ -251,10 +252,10 @@ def build_threshold_app(node_id=1):
         node_id=node_id,
         start_rx=True,
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aodv_source(), name="aodv"),
-                 assemble(threshold_source(), name="thresh")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aodv_source(), name="aodv"),
+                 assemble_shared(threshold_source(), name="thresh")])
 
 
 def build_network_node(node_id, csma=False):
@@ -268,7 +269,7 @@ def build_network_node(node_id, csma=False):
         node_id=node_id,
         start_rx=True,
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aodv_source(), name="aodv"),
-                 assemble(threshold_source(), name="thresh")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aodv_source(), name="aodv"),
+                 assemble_shared(threshold_source(), name="thresh")])

@@ -14,7 +14,7 @@ measured (Section 4.5):
   consumer (also used by the network examples).
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.aodv import aodv_source
 from repro.netstack.apps import threshold_source
@@ -43,19 +43,19 @@ mac_rx_dispatch:
 def build_tx_node(node_id=0):
     boot = boot_source(handlers={Event.SOFT: "tx_soft_handler"},
                        node_id=node_id)
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(tx_driver_source(), name="txdrv"),
-                 assemble(null_dispatch_source(), name="nulldisp")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(tx_driver_source(), name="txdrv"),
+                 assemble_shared(null_dispatch_source(), name="nulldisp")])
 
 
 def build_rx_node(node_id=1):
     boot = boot_source(handlers={Event.RADIO_RX: "mac_rx_handler"},
                        init_calls=("mac_rx_init",),
                        node_id=node_id, start_rx=True)
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(null_dispatch_source(), name="nulldisp")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(null_dispatch_source(), name="nulldisp")])
 
 
 def discovery_driver_source():
@@ -78,11 +78,11 @@ def build_discovery_node(node_id, csma=False):
     boot = boot_source(handlers=handlers,
                        init_calls=("mac_rx_init", "rt_init", "thresh_init"),
                        node_id=node_id, start_rx=True)
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aodv_source(), name="aodv"),
-                 assemble(threshold_source(), name="thresh"),
-                 assemble(discovery_driver_source(), name="disc")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aodv_source(), name="aodv"),
+                 assemble_shared(threshold_source(), name="thresh"),
+                 assemble_shared(discovery_driver_source(), name="disc")])
 
 
 def build_aodv_node(node_id, csma=False):
@@ -92,7 +92,7 @@ def build_aodv_node(node_id, csma=False):
     boot = boot_source(handlers=handlers,
                        init_calls=("mac_rx_init", "rt_init", "thresh_init"),
                        node_id=node_id, start_rx=True)
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aodv_source(), name="aodv"),
-                 assemble(threshold_source(), name="thresh")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aodv_source(), name="aodv"),
+                 assemble_shared(threshold_source(), name="thresh")])

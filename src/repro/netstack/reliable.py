@@ -21,7 +21,7 @@ The receiver acknowledges every reliable DATA packet and suppresses
 duplicate deliveries by (source, sequence) tracking.
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.layout import APP_BASE_ADDR, equates
 from repro.netstack.mac import mac_source
@@ -283,7 +283,7 @@ def build_reliable_node(node_id, timeout_ticks=RETRY_TIMEOUT_TICKS,
         node_id=node_id,
         start_rx=True,
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(reliable_source(timeout_ticks, max_retries),
-                          name="reliable")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(reliable_source(timeout_ticks, max_retries),
+                                 name="reliable")])

@@ -10,7 +10,7 @@ The next hop toward the sink lives at ``SAMP_NEXT_HOP`` in DMEM (either
 poked by the harness or filled from a discovered route).
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.aodv import aodv_source
 from repro.netstack.apps import threshold_source
@@ -103,8 +103,8 @@ def build_sampling_node(node_id, period_ticks=SAMPLE_PERIOD_TICKS):
         start_rx=True,
         extra="    jal samp_arm",
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(mac_source(), name="mac"),
-                 assemble(aodv_source(), name="aodv"),
-                 assemble(threshold_source(), name="thresh"),
-                 assemble(sampling_source(period_ticks), name="samp")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(mac_source(), name="mac"),
+                 assemble_shared(aodv_source(), name="aodv"),
+                 assemble_shared(threshold_source(), name="thresh"),
+                 assemble_shared(sampling_source(period_ticks), name="samp")])

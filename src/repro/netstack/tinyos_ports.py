@@ -16,7 +16,7 @@
   bit for bit.
 """
 
-from repro.asm import assemble, link
+from repro.asm import assemble_shared, link
 from repro.isa.events import Event
 from repro.netstack.layout import APP_BASE_ADDR, APP_DATA, equates
 from repro.netstack.runtime import boot_source
@@ -86,8 +86,8 @@ def build_blink_app(period_ticks=BLINK_PERIOD_TICKS):
         init_calls=("blink_init",),
         extra="    jal blink_arm",
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(blink_source(period_ticks), name="blink")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(blink_source(period_ticks), name="blink")])
 
 
 # -- Sense ----------------------------------------------------------------------
@@ -182,8 +182,8 @@ def build_sense_app(period_ticks=SENSE_PERIOD_TICKS):
         init_calls=("sense_init",),
         extra="    jal sense_arm",
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(sense_source(period_ticks), name="sense")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(sense_source(period_ticks), name="sense")])
 
 
 # -- MICA high-speed radio stack port ---------------------------------------------
@@ -446,8 +446,8 @@ def build_radiostack_app():
         handlers={Event.SOFT: "rs_soft_handler"},
         init_calls=("rs_init",),
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(radiostack_source(), name="radiostack")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(radiostack_source(), name="radiostack")])
 
 
 def build_radiostack_rx():
@@ -459,5 +459,5 @@ def build_radiostack_rx():
         init_calls=("rs_init",),
         start_rx=True,
     )
-    return link([assemble(boot, name="boot"),
-                 assemble(radiostack_source(), name="radiostack")])
+    return link([assemble_shared(boot, name="boot"),
+                 assemble_shared(radiostack_source(), name="radiostack")])

@@ -43,23 +43,69 @@ __handler void on_timer() {
 
 
 class BundleError(Exception):
-    """A file that is not a ``repro.obs.crash-bundle/1`` bundle."""
+    """A file that is not a well-formed ``repro.obs.crash-bundle/1``
+    bundle."""
+
+
+_NUMBER = (int, float)
+#: The fields snap-flight prints from each per-node state and each
+#: recorded instruction, with the types they must have.
+_NODE_FIELDS = {"mode": (str,), "pc": (int,)}
+_INSTRUCTION_FIELDS = {"time": _NUMBER, "pc": (int,), "mnemonic": (str,),
+                       "handler": (str, type(None))}
+
+
+def _expect(where, value, types):
+    if not isinstance(value, types):
+        raise BundleError("field %r is %s, not %s"
+                          % (where, type(value).__name__,
+                             " or ".join(kind.__name__ for kind in types)))
+    return value
+
+
+def _check_fields(record, fields, prefix=""):
+    for name, types in fields.items():
+        if name not in record:
+            raise BundleError("field %r is missing" % (prefix + name))
+        _expect(prefix + name, record[name], types)
+
+
+def _check_bundle(bundle):
+    """Raise :class:`BundleError` unless *bundle* is a crash-bundle/1
+    object whose fields snap-flight reads are present and well typed."""
+    from repro.obs.postmortem import SCHEMA
+
+    if not isinstance(bundle, dict):
+        raise BundleError("not a crash bundle (a JSON %s, not an object)"
+                          % type(bundle).__name__)
+    if bundle.get("schema") != SCHEMA:
+        raise BundleError("schema %r is not %r"
+                          % (bundle.get("schema"), SCHEMA))
+    _check_fields(bundle, {"time_s": _NUMBER + (type(None),)})
+    nodes = _expect("nodes", bundle.get("nodes", {}), (dict,))
+    for name, state in nodes.items():
+        where = "nodes.%s" % name
+        _check_fields(_expect(where, state, (dict,)), _NODE_FIELDS,
+                      where + ".")
+    tails = _expect("disassembly", bundle.get("disassembly") or {}, (dict,))
+    for name, tail in tails.items():
+        where = "disassembly.%s" % name
+        for index, record in enumerate(_expect(where, tail, (list,))):
+            entry = "%s[%d]" % (where, index)
+            _check_fields(_expect(entry, record, (dict,)),
+                          _INSTRUCTION_FIELDS, entry + ".")
 
 
 def _load_bundle(path):
-    from repro.obs.postmortem import SCHEMA
-
     try:
         with open(path) as handle:
             bundle = json.load(handle)
     except (OSError, ValueError) as error:
         raise BundleError("%s: %s" % (path, error)) from error
-    if not isinstance(bundle, dict):
-        raise BundleError("%s: not a crash bundle (a JSON %s, not an "
-                          "object)" % (path, type(bundle).__name__))
-    if bundle.get("schema") != SCHEMA:
-        raise BundleError("%s: schema %r is not %r"
-                          % (path, bundle.get("schema"), SCHEMA))
+    try:
+        _check_bundle(bundle)
+    except BundleError as error:
+        raise BundleError("%s: %s" % (path, error)) from None
     return bundle
 
 
@@ -134,6 +180,9 @@ def _replay_from_checkpoint(bundle):
               file=sys.stderr)
         return 1
     crash_time = bundle["time_s"]
+    if crash_time is None:
+        raise BundleError("bundle has no crash time (time_s is null) to "
+                          "replay to")
     sim = restore(Checkpoint(data))
     print("replay       : checkpoint t=%.6f s -> crash t=%.6f s"
           % (data["time_s"], crash_time))

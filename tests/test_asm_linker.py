@@ -1,8 +1,10 @@
-"""Linker tests: multi-module layout, relocation, errors."""
+"""Linker tests: multi-module layout, relocation, errors, shared modules."""
+
+import copy
 
 import pytest
 
-from repro.asm import LinkError, assemble, link
+from repro.asm import LinkError, assemble, assemble_shared, link
 from repro.asm.objectfile import (
     UNKNOWN_LOC,
     UNMAPPED_FILE,
@@ -176,3 +178,51 @@ class TestSymbolication:
         program = Program(imem=[0, 0, 0], dmem=[], symbols={})
         assert program.lookup(1).is_unknown
         assert program.lookup(5).is_unknown
+
+
+#: A library that exercises everything ``link`` reads from a module:
+#: exported and local text symbols, a data section, both relocation
+#: kinds (local, cross-module and data targets) and a line table.
+SHARED_LIBRARY = """
+lib_entry:
+    movi r1, table + 1
+    ld r2, 0(r1)
+    beqz r2, .skip
+    jal lib_helper
+.skip:
+    ret
+lib_helper:
+    jmp boot_hook
+.data
+table: .word 1, 2, lib_entry
+"""
+
+#: Boot modules of different sizes, so the library links at two text
+#: and two data bases.
+BOOTS = ("boot_hook: halt\n",
+         "nop\nnop\nnop\nboot_hook: halt\n.data\n.word 7, 8\n")
+
+
+class TestSharedModules:
+    def test_linking_leaves_a_shared_module_unchanged(self):
+        shared = assemble_shared(SHARED_LIBRARY, name="lib")
+        assert assemble_shared(SHARED_LIBRARY, name="lib") is shared
+        before = copy.deepcopy(shared)
+        programs = [link([assemble(boot, name="boot"), shared])
+                    for boot in BOOTS]
+        assert programs[0].symbols["lib_entry"] \
+            != programs[1].symbols["lib_entry"]
+        assert programs[0].symbols["table"] != programs[1].symbols["table"]
+        for field in ("text", "data", "symbols", "relocations", "lines"):
+            assert getattr(shared, field) == getattr(before, field), field
+        for boot, program in zip(BOOTS, programs):
+            assert program == link([assemble(boot, name="boot"),
+                                    assemble(SHARED_LIBRARY, name="lib")])
+
+    def test_assemble_returns_a_fresh_module_per_call(self):
+        first = assemble(SHARED_LIBRARY, name="lib")
+        second = assemble(SHARED_LIBRARY, name="lib")
+        assert first == second
+        assert first is not second
+        assert first.text is not second.text
+        assert first.symbols is not second.symbols

@@ -237,6 +237,29 @@ class TestSnapFlightCli:
                 "snap-flight: error: %s: " % path)
             assert captured.out == ""
 
+    @pytest.mark.parametrize("command, edit, field", [
+        (["replay-tail", "--replay"],
+         lambda bundle: bundle.pop("time_s"), "'time_s' is missing"),
+        (["replay-tail"],
+         lambda bundle: bundle["disassembly"]["node0.cpu"][0].pop("time"),
+         "'disassembly.node0.cpu[0].time' is missing"),
+        (["inspect"],
+         lambda bundle: bundle.update(nodes=list(bundle["nodes"].values())),
+         "'nodes' is list, not dict"),
+    ], ids=["no-time_s", "instruction-without-time", "nodes-as-list"])
+    def test_malformed_bundle_fields_are_usage_errors(
+            self, tmp_path, capsys, command, edit, field):
+        with open(GOLDEN) as handle:
+            bundle = json.load(handle)
+        edit(bundle)
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps(bundle))
+        assert snap_flight_main(command[:1] + [str(path)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "snap-flight: error: %s: field %s\n" % (
+            path, field)
+        assert captured.out == ""
+
     def test_replay_of_a_malformed_checkpoint_is_a_usage_error(
             self, tmp_path, capsys):
         checkpoint_golden = os.path.join(os.path.dirname(__file__),

@@ -3,6 +3,7 @@ processor: MAC, AODV routing, applications, and TinyOS ports."""
 
 import pytest
 
+from repro.asm.assembler import _Assembler
 from repro.core import CoreConfig
 from repro.isa.events import Event
 from repro.netstack import (
@@ -184,6 +185,23 @@ class TestAodv:
         # The RREP travelled back over the channel and node 1 installed it.
         dmem = requester.processor.dmem
         assert dmem.peek(layout.ROUTE_TABLE + 0) == 2
+
+    def test_rebuilding_a_node_assembles_nothing(self, monkeypatch):
+        first = build_aodv_node(2)
+        # Count real assemblies, whichever name a builder calls them by.
+        assembled = []
+        run = _Assembler.run
+
+        def counting_run(self):
+            assembled.append(self._name)
+            return run(self)
+
+        monkeypatch.setattr(_Assembler, "run", counting_run)
+        second = build_aodv_node(2)
+        assert assembled == []
+        assert second == first
+        assert second.imem is not first.imem
+        assert second.dmem is not first.dmem
 
 
 class TestThresholdApp:

@@ -22,6 +22,7 @@ import io
 import json
 import os
 import socket
+import time
 
 from repro.asm import build
 from repro.core import CoreConfig
@@ -480,8 +481,20 @@ class TestSnapTop:
 
         thread = threading.Thread(target=attach)
         thread.start()
-        deadline = node.kernel.now + 0.5
-        while thread.is_alive() and node.kernel.now < deadline:
+        # Keep the run going until the dashboard has attached, on a
+        # wall-clock deadline: its thread may take longer to connect
+        # than any fixed stretch of simulated time, and closing the
+        # exporter first refuses the connection.  Pausing between steps
+        # meanwhile lets that thread take the interpreter lock.
+        deadline = time.monotonic() + 30.0
+        close_at = None
+        while thread.is_alive() and time.monotonic() < deadline:
+            if close_at is None and transport.clients:
+                close_at = node.kernel.now + 0.5
+            if close_at is None:
+                time.sleep(0.005)
+            elif node.kernel.now >= close_at:
+                break
             node.run(until=node.kernel.now + 0.01)
         exporter.close()
         thread.join(timeout=5)
