@@ -27,6 +27,9 @@ class Kernel:
         self._now = 0.0
         #: handle -> live heap entry; cancelled/fired handles are absent.
         self._live = {}
+        #: Handles from :meth:`schedule_host`; fired and cancelled ones
+        #: stay until the next host schedule prunes them.
+        self._host = set()
         #: Bumped on every schedule; burst loops use it to know when a
         #: cached :meth:`next_time` may have moved *earlier*.  (Cancels
         #: can only move it later, which a stale cache handles safely.)
@@ -71,6 +74,22 @@ class Kernel:
         self._version += 1
         return handle
 
+    def schedule_host(self, delay, callback, *args):
+        """Schedule host work: an observer tick, not simulation.  It
+        goes through :meth:`schedule` and fires at its time like any
+        event, up to a bounded run's horizon too, but :attr:`pending`
+        leaves it out and an unbounded :meth:`run` does not wait for it:
+        an armed observer never keeps a drained simulation alive or
+        moves where it ends."""
+        handle = self.schedule(delay, callback, *args)
+        self._host = {host for host in self._host if host in self._live}
+        self._host.add(handle)
+        return handle
+
+    def is_host(self, handle):
+        """True when live *handle* came from :meth:`schedule_host`."""
+        return handle in self._host and handle in self._live
+
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at an absolute *time*."""
         return self.schedule(time - self._now, callback, *args)
@@ -87,8 +106,9 @@ class Kernel:
 
     @property
     def pending(self):
-        """Number of scheduled (non-cancelled) events."""
-        return len(self._live)
+        """Number of scheduled (non-cancelled) events, host work not
+        counted."""
+        return len(self._live) - len(self._host & self._live.keys())
 
     def step(self):
         """Run the next event; returns False when the queue is empty."""
@@ -110,6 +130,9 @@ class Kernel:
         *max_events* callbacks have run.  Returns the number of callbacks
         executed.
 
+        Without *until*, the run also ends once only host work remains,
+        with the clock at the last simulation event.
+
         When the run ends with no runnable event at or before *until*
         (the queue drained, or the next event lies beyond the horizon),
         the clock advances to *until* so back-to-back bounded runs and
@@ -128,6 +151,8 @@ class Kernel:
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
+                    break
+                if until is None and self._host and not self.pending:
                     break
                 self.step()
                 executed += 1
@@ -174,6 +199,7 @@ class Kernel:
         self._now = now
         self._queue = []
         self._live = {}
+        self._host = set()
         for time, handle, callback, args in entries:
             if handle >= next_handle:
                 raise ValueError(

@@ -34,7 +34,9 @@ from repro.netstack.layout import (
 )
 
 #: DMEM cells where the routing assembly keeps its counters, by metric
-#: name; harvested into the metrics registry as ``<node>.aodv.<name>``.
+#: name.  :func:`read_aodv_counters` reads them for the ``aodv`` key of
+#: ``SensorNode.metrics_snapshot``; the watchdog's ``aodv_legality``
+#: check reads them too.
 AODV_COUNTER_CELLS = {
     "forwards": FWD_COUNT_ADDR,
     "rreps_sent": RREP_COUNT_ADDR,

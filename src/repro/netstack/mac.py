@@ -50,9 +50,9 @@ def frame_total_words(words):
     return total
 
 #: DMEM cells where the MAC assembly keeps its packet counters, by
-#: metric name.  The Python-side observability layer harvests these into
-#: the metrics registry (``<node>.mac.<name>``); see
-#: ``SensorNode.metrics_snapshot`` and ``docs/OBSERVABILITY.md``.
+#: metric name.  :func:`read_mac_counters` reads them for the ``mac`` key
+#: of ``SensorNode.metrics_snapshot``; the watchdog's ``mac_legality``
+#: check reads them too.
 MAC_COUNTER_CELLS = {
     "tx_packets": TX_COUNT_ADDR,
     "rx_packets": RX_COUNT_ADDR,

@@ -55,9 +55,10 @@ RETRY_TIMEOUT_TICKS = 30_000
 MAX_RETRIES = 3
 
 #: DMEM cells where the reliable-MAC assembly keeps its counters, by
-#: metric name; harvested into the metrics registry as
-#: ``<node>.reliable.<name>``.  Only meaningful for programs linked with
-#: this module (the cells live in the APP_BASE scratch region).
+#: metric name; read with :func:`read_reliable_counters`.  Only
+#: meaningful for programs linked with this module (the cells live in the
+#: APP_BASE scratch region), so ``SensorNode.metrics_snapshot`` leaves
+#: them out.
 RELIABLE_COUNTER_CELLS = {
     "delivered": REL_DELIVERED,
     "failed": REL_FAILED,

@@ -216,7 +216,6 @@ class Blackbox:
         self.checkpoint_every = checkpoint_every
         self.last_checkpoint = None
         self._checkpoint_target = None
-        self._checkpoint_armed = False
 
     def observe(self, target, program=None):
         """Instrument *target* and register it with the watchdog.
@@ -237,26 +236,25 @@ class Blackbox:
         if not self.watchdog.armed:
             self.watchdog.start()
         if isinstance(target, (NetworkSimulator, SensorNode)):
+            if self.checkpoint_every and self._checkpoint_target is None:
+                target.kernel.schedule_host(self.checkpoint_every,
+                                            self._checkpoint_tick)
             self._checkpoint_target = target
-            if self.checkpoint_every and not self._checkpoint_armed:
-                self._checkpoint_armed = True
-                target.kernel.schedule(self.checkpoint_every,
-                                       self._checkpoint_tick)
         return target
 
     def _checkpoint_tick(self):
         """Periodic checkpoint of the observed target (kernel callback).
 
-        Uses the ``unknown="skip"`` capture policy: host-side hooks on
-        the heap (this tick itself, watchdog ticks, failure-injection
-        lambdas in tests) are recorded as skipped, not fatal.
+        Uses the ``unknown="skip"`` capture policy: failure-injection
+        lambdas in tests are recorded as skipped, not fatal, like the
+        host work on the heap (this tick itself, watchdog ticks).
         """
         from repro.sim.checkpoint import capture
 
         self.last_checkpoint = capture(self._checkpoint_target,
                                        unknown="skip")
-        self._checkpoint_target.kernel.schedule(self.checkpoint_every,
-                                                self._checkpoint_tick)
+        self._checkpoint_target.kernel.schedule_host(self.checkpoint_every,
+                                                     self._checkpoint_tick)
 
     def run(self, target, until=None, max_events=None):
         """Drive ``target.run``, capturing a crash bundle on any fault."""

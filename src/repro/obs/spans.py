@@ -208,19 +208,22 @@ class _NodeInfo:
         self.rx_power = config.rx_power_w
 
 
+#: Journeys a tracker retains; the oldest are evicted first.
+MAX_JOURNEYS = 10_000
+
+
 class JourneyTracker:
     """Reconstructs packet journeys from radio and channel word events.
 
     Created by ``Observability(journeys=True)``; fed through the
     observability hooks, never directly by components.  Emits
     :class:`~repro.obs.events.PacketSpan` events on the trace bus and
-    retains :class:`Journey` objects (up to *max_journeys*, oldest
+    retains :class:`Journey` objects (up to :data:`MAX_JOURNEYS`, oldest
     evicted first) for reports.
     """
 
-    def __init__(self, obs, max_journeys=10_000):
+    def __init__(self, obs):
         self._obs = obs
-        self._max_journeys = max_journeys
         self.journeys = []
         self._by_key = {}
         self._streams = {}
@@ -314,7 +317,7 @@ class JourneyTracker:
             self._by_key[key] = journey
             if self._obs is not None:
                 self._obs.metrics.counter("net.journeys").inc()
-            if len(self.journeys) > self._max_journeys:
+            if len(self.journeys) > MAX_JOURNEYS:
                 oldest = self.journeys.pop(0)
                 if self._by_key.get(oldest.key) is oldest:
                     del self._by_key[oldest.key]

@@ -86,6 +86,12 @@ EVENT_BUFFER_LIMIT = 256
 #: Bus event kinds buffered into ``events`` records.
 EVENT_KINDS = ("drop", "radio_drop")
 
+#: Handlers listed in each ``handlers`` record, hottest first.
+TOP_HANDLERS = 5
+
+#: Recent records kept for crash-bundle tails.
+TAIL_LIMIT = 64
+
 
 class TelemetryExporter:
     """Batches obs-stack deltas into the NDJSON telemetry stream.
@@ -103,8 +109,8 @@ class TelemetryExporter:
     """
 
     def __init__(self, kernel, nodes, obs, transport,
-                 interval=DEFAULT_INTERVAL, watchdog=None, top_handlers=5,
-                 tail_limit=64, clock=None, on_progress=None):
+                 interval=DEFAULT_INTERVAL, watchdog=None, clock=None,
+                 on_progress=None):
         if interval <= 0:
             raise ValueError("telemetry interval must be positive")
         if isinstance(transport, str):
@@ -118,11 +124,10 @@ class TelemetryExporter:
         self.transport = transport
         self.interval = interval
         self.watchdog = watchdog
-        self.top_handlers = top_handlers
         self.clock = clock if clock is not None else time.perf_counter
         self.on_progress = on_progress
         #: Recent records (dicts, newest last) for crash-bundle tails.
-        self.tail = deque(maxlen=tail_limit)
+        self.tail = deque(maxlen=TAIL_LIMIT)
         #: Records discarded by the bounded in-exporter event buffer.
         self.buffer_dropped = 0
         self.seq = 0
@@ -205,17 +210,12 @@ class TelemetryExporter:
         self._emit({"type": "metrics", "full": True,
                     "values": self._metric_values(full=True)})
         self.transport.flush()
-        self._handle = self.kernel.schedule(self.interval, self._tick)
+        self._handle = self.kernel.schedule_host(self.interval, self._tick)
         return self
 
     def _tick(self):
-        self._handle = None
         self.flush()
-        # Watchdog discipline: re-arm only while other activity is
-        # pending, so the exporter never keeps a drained simulation
-        # alive or masks a deadlock.
-        if self.kernel.pending > 0:
-            self._handle = self.kernel.schedule(self.interval, self._tick)
+        self._handle = self.kernel.schedule_host(self.interval, self._tick)
 
     def close(self):
         """Final flush, remaining journey summaries, and ``bye``."""
@@ -425,7 +425,7 @@ class TelemetryExporter:
             return
         deltas.sort(key=lambda entry: (-entry["energy_j"], entry["node"],
                                        entry["handler"]))
-        self._emit({"type": "handlers", "top": deltas[:self.top_handlers]})
+        self._emit({"type": "handlers", "top": deltas[:TOP_HANDLERS]})
 
     def _flush_energy(self):
         ledger = getattr(self.obs, "energy", None) if self.obs is not None \

@@ -34,8 +34,10 @@ class TimelineSampler:
     :class:`~repro.node.node.SensorNode`; pass a
     :class:`~repro.network.simulator.NetworkSimulator` to
     :meth:`for_network` instead.  Call :meth:`start` after the nodes are
-    created; sampling stops by itself when :meth:`stop` is called or the
-    kernel simply stops running.
+    created; sampling stops when :meth:`stop` is called or the kernel
+    stops running.  Ticks are host work
+    (:meth:`~repro.core.kernel.Kernel.schedule_host`), so a started
+    sampler never keeps a drained simulation alive.
     """
 
     def __init__(self, kernel, nodes, interval, obs=None, retain=True):
@@ -51,7 +53,7 @@ class TimelineSampler:
         #: arbitrarily long run and must not grow host memory with it.
         self.retain = retain
         self.rows = []
-        self._running = False
+        self._handle = None
         #: Previous cumulative radio (tx_time, rx_time) per node, for
         #: duty-cycle deltas.
         self._last_radio = {}
@@ -66,19 +68,18 @@ class TimelineSampler:
     def start(self, first_delay=None):
         """Take a first sample after *first_delay* (default: one
         interval), then keep sampling every interval."""
-        self._running = True
+        self.stop()
         delay = self.interval if first_delay is None else first_delay
-        self.kernel.schedule(delay, self._tick)
+        self._handle = self.kernel.schedule_host(delay, self._tick)
         return self
 
     def stop(self):
-        self._running = False
+        if self._handle is not None:
+            self.kernel.cancel(self._handle)
 
     def _tick(self):
-        if not self._running:
-            return
         self.sample()
-        self.kernel.schedule(self.interval, self._tick)
+        self._handle = self.kernel.schedule_host(self.interval, self._tick)
 
     # -- sampling -------------------------------------------------------------
 

@@ -56,6 +56,11 @@ from repro.netstack.mac import MAC_COUNTER_CELLS
 #: Words in one MAC frame buffer (RX_BUF and TX_BUF are adjacent).
 _FRAME_WORDS = layout.TX_BUF - layout.RX_BUF
 
+#: Relative tolerance for float energy reconciliation: the burst loop's
+#: write-backs are bit-identical, but component sums are accumulated in
+#: a different order than the total.
+REL_TOLERANCE = 1e-9
+
 DEFAULT_INVARIANTS = (
     "energy_conservation",
     "meter_consistency",
@@ -89,7 +94,7 @@ class Watchdog:
     """Periodic invariant checker over processors, nodes, and kernels."""
 
     def __init__(self, interval=1e-3, invariants=None, recorder=None,
-                 rel_tolerance=1e-9, budgets=None):
+                 budgets=None):
         if interval <= 0:
             raise ValueError("watchdog interval must be positive")
         unknown = set(invariants or ()) - set(DEFAULT_INVARIANTS)
@@ -100,10 +105,6 @@ class Watchdog:
         self.invariants = tuple(invariants) if invariants is not None \
             else DEFAULT_INVARIANTS
         self.recorder = recorder
-        #: Relative tolerance for float energy reconciliation: the burst
-        #: loop's write-backs are bit-identical, but component sums are
-        #: accumulated in a different order than the total.
-        self.rel_tolerance = rel_tolerance
         #: node name -> energy budget in joules; nodes absent from the
         #: map are exempt from the ``energy_budget`` invariant.
         self.budgets = dict(budgets) if budgets else {}
@@ -165,7 +166,8 @@ class Watchdog:
         if self.kernel is None:
             raise ValueError("nothing watched yet -- call watch() first")
         if self._handle is None:
-            self._handle = self.kernel.schedule(self.interval, self._tick)
+            self._handle = self.kernel.schedule_host(self.interval,
+                                                     self._tick)
         return self
 
     def stop(self):
@@ -177,11 +179,7 @@ class Watchdog:
     def _tick(self):
         self._handle = None
         self.check()
-        # Re-arm only while other activity is pending: once the rest of
-        # the simulation drains, the watchdog must not keep the kernel
-        # alive (that would mask deadlocks and hang unbounded runs).
-        if self.kernel.pending > 0:
-            self._handle = self.kernel.schedule(self.interval, self._tick)
+        self._handle = self.kernel.schedule_host(self.interval, self._tick)
 
     # -- checking --------------------------------------------------------------
 
@@ -251,8 +249,7 @@ class Watchdog:
                        % (live_on_heap, len(live)))
 
     def _energy_close(self, total, components):
-        tolerance = self.rel_tolerance * max(abs(total), abs(components),
-                                             1e-12)
+        tolerance = REL_TOLERANCE * max(abs(total), abs(components), 1e-12)
         return abs(total - components) <= tolerance
 
     def _check_energy(self, processor):

@@ -16,10 +16,11 @@ What is captured
   handle order, so the tie-break sequence must survive), and every live
   heap entry.  Callbacks are serialized as typed descriptors
   (``cpu_step``, ``timer_expire``, ``radio_tx_done``, ``sensor_fire``)
-  and re-bound to the restored components.  Host-side observability
-  callbacks (watchdog ticks, timeline samplers, telemetry flushes, the
-  blackbox's own checkpoint tick) are *skipped* and listed under
-  ``skipped_callbacks`` -- they never affect simulation state, and the
+  and re-bound to the restored components.  Host work -- entries the
+  kernel marks as scheduled through ``Kernel.schedule_host`` (watchdog
+  ticks, timeline samplers, telemetry flushes, the blackbox's own
+  checkpoint tick) -- is *skipped* and listed under
+  ``skipped_callbacks``: it never affects simulation state, and the
   caller re-arms observability after restore.
 * **Per node** -- register file, carry, pc, LFSR, IMEM/DMEM contents and
   access counters (which is where the guest netstack's MAC/AODV/reliable
@@ -76,16 +77,6 @@ from repro.sensors.adc import Adc
 from repro.sensors.temperature import TemperatureSensor
 
 SCHEMA = "repro.sim.checkpoint/1"
-
-#: Host-side (observability) callbacks that may sit on the kernel heap
-#: but carry no simulation state: capture skips them and records the
-#: skip.  The caller re-arms observability after restore.
-_HOST_CALLBACK_QUALNAMES = (
-    "Watchdog._tick",
-    "TimelineSampler._tick",
-    "Blackbox._checkpoint_tick",
-    "TelemetryExporter._tick",
-)
 
 
 class CheckpointError(Exception):
@@ -667,11 +658,7 @@ def _describe_callbacks(kernel, owners, unknown):
                 events.append({"time": time, "handle": handle,
                                "callback": descriptor})
                 continue
-        if any(qualname.endswith(host)
-               for host in _HOST_CALLBACK_QUALNAMES):
-            skipped.append({"time": time, "callback": qualname})
-            continue
-        if unknown == "skip":
+        if unknown == "skip" or kernel.is_host(handle):
             skipped.append({"time": time, "callback": qualname})
             continue
         raise CheckpointCaptureError(
@@ -799,9 +786,9 @@ def capture(sim, unknown="error"):
     is not one of the serializable simulation callbacks: ``"error"``
     (default) raises :class:`CheckpointCaptureError`; ``"skip"`` drops
     it and lists it under ``skipped_callbacks`` (the policy the blackbox
-    uses, since its own periodic tick and failure-injection hooks sit on
-    the same heap).  Host-side observability ticks (watchdog, timeline
-    sampler) are always skipped and recorded.
+    uses, since failure-injection hooks sit on the same heap).  Host
+    work (``Kernel.schedule_host`` entries: watchdog, timeline sampler,
+    telemetry and blackbox ticks) is always skipped and recorded.
     """
     from repro.network.simulator import NetworkSimulator
     from repro.node.node import SensorNode

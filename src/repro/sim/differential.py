@@ -384,18 +384,9 @@ def localize_divergence(scenario, fast_path, t, via_json=True,
     return result
 
 
-def digest_diff(baseline, resumed, prefix=""):
-    """Human-readable paths where two digests differ (for reports).
-
-    Alias of :func:`repro.obs.diff.deep_diff_paths`, kept under the
-    name this harness has always exported.
-    """
+def main(argv=None):
     from repro.obs.diff import deep_diff_paths
 
-    return deep_diff_paths(baseline, resumed, prefix)
-
-
-def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.differential",
         description="checkpoint/restore differential matrix")
@@ -436,8 +427,8 @@ def main(argv=None):
                       % (name, fast_path, report["t"], verdict))
                 if not report["identical"]:
                     failed += 1
-                    for line in digest_diff(report["baseline"],
-                                            report["resumed"])[:20]:
+                    for line in deep_diff_paths(report["baseline"],
+                                                report["resumed"])[:20]:
                         print("    " + line)
                     divergence = report.get("divergence")
                     if divergence is not None:

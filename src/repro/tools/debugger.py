@@ -92,10 +92,12 @@ class Debugger:
         if self.processor.mode.value == "reset":
             self.processor.start()
         self._stop = None
+        kernel = self.processor.kernel
         for _ in range(max_kernel_events):
-            if not self.processor.kernel.step():
+            if not kernel.pending:  # only host work (observer ticks) left
                 return StopInfo(reason="done", pc=self.processor.pc,
-                                time=self.processor.kernel.now)
+                                time=kernel.now)
+            kernel.step()
             hit = self._check_watchpoints()
             if hit is not None:
                 return hit

@@ -48,11 +48,26 @@ class BundleError(Exception):
 
 
 _NUMBER = (int, float)
+_NONE = (type(None),)
 #: The fields snap-flight prints from each per-node state and each
 #: recorded instruction, with the types they must have.
 _NODE_FIELDS = {"mode": (str,), "pc": (int,)}
 _INSTRUCTION_FIELDS = {"time": _NUMBER, "pc": (int,), "mnemonic": (str,),
-                       "handler": (str, type(None))}
+                       "handler": (str,) + _NONE}
+#: Fields read with a default: checked when present and not null.
+_TOP_OPTIONAL = {"error": (dict,), "pending_events": (list,),
+                 "events_tail": (list,), "journeys": (list,)}
+_NODE_OPTIONAL = {"registers": (dict,), "meter": (dict,),
+                  "event_queue": (list,), "pc_source": (dict,)}
+_METER_OPTIONAL = {"instructions": (int,), "total_energy_j": _NUMBER,
+                   "wakeups": (int,)}
+#: The records in those lists, a source location (``line`` is printed
+#: whenever ``file`` is set) and an instruction's register write.
+_PENDING_FIELDS = {"time": _NUMBER, "callback": (str,)}
+_EVENT_FIELDS = {"time": _NUMBER, "kind": (str,), "node": (str,)}
+_TOKEN_FIELDS = {"event": (str,)}
+_SOURCE_FIELDS = {"file": (str,) + _NONE, "line": (int,) + _NONE}
+_RD_FIELDS = {"rd": (int,), "rd_value": (int,) + _NONE}
 
 
 def _expect(where, value, types):
@@ -70,6 +85,18 @@ def _check_fields(record, fields, prefix=""):
         _expect(prefix + name, record[name], types)
 
 
+def _check_optional(record, fields, prefix=""):
+    for name, types in fields.items():
+        if record.get(name) is not None:
+            _expect(prefix + name, record[name], types)
+
+
+def _check_records(where, records, fields):
+    for index, record in enumerate(records or ()):
+        entry = "%s[%d]" % (where, index)
+        _check_fields(_expect(entry, record, (dict,)), fields, entry + ".")
+
+
 def _check_bundle(bundle):
     """Raise :class:`BundleError` unless *bundle* is a crash-bundle/1
     object whose fields snap-flight reads are present and well typed."""
@@ -81,12 +108,26 @@ def _check_bundle(bundle):
     if bundle.get("schema") != SCHEMA:
         raise BundleError("schema %r is not %r"
                           % (bundle.get("schema"), SCHEMA))
-    _check_fields(bundle, {"time_s": _NUMBER + (type(None),)})
+    _check_fields(bundle, {"time_s": _NUMBER + _NONE})
+    _check_optional(bundle, _TOP_OPTIONAL)
+    _check_records("pending_events", bundle.get("pending_events"),
+                   _PENDING_FIELDS)
+    _check_records("events_tail", bundle.get("events_tail"), _EVENT_FIELDS)
     nodes = _expect("nodes", bundle.get("nodes", {}), (dict,))
     for name, state in nodes.items():
         where = "nodes.%s" % name
         _check_fields(_expect(where, state, (dict,)), _NODE_FIELDS,
                       where + ".")
+        _check_optional(state, _NODE_OPTIONAL, where + ".")
+        for register, value in (state.get("registers") or {}).items():
+            _expect("%s.registers.%s" % (where, register), value, (int,))
+        _check_optional(state.get("meter") or {}, _METER_OPTIONAL,
+                        where + ".meter.")
+        _check_records(where + ".event_queue", state.get("event_queue"),
+                       _TOKEN_FIELDS)
+        if state.get("pc_source") is not None:
+            _check_fields(state["pc_source"], _SOURCE_FIELDS,
+                          where + ".pc_source.")
     tails = _expect("disassembly", bundle.get("disassembly") or {}, (dict,))
     for name, tail in tails.items():
         where = "disassembly.%s" % name
@@ -94,6 +135,12 @@ def _check_bundle(bundle):
             entry = "%s[%d]" % (where, index)
             _check_fields(_expect(entry, record, (dict,)),
                           _INSTRUCTION_FIELDS, entry + ".")
+            _check_optional(record, {"source": (dict,)}, entry + ".")
+            if record.get("source") is not None:
+                _check_fields(record["source"], _SOURCE_FIELDS,
+                              entry + ".source.")
+            if "rd" in record:
+                _check_fields(record, _RD_FIELDS, entry + ".")
 
 
 def _load_bundle(path):
@@ -259,11 +306,11 @@ def cmd_demo_crash(args):
     elif args.mode == "leak":
         # Null a live heap entry without dropping its index -- the
         # "leaked cancel" bug class the heap-liveness invariant exists
-        # for.  (Skip the watchdog's own pending check, which would
-        # disarm the very detector this mode demonstrates.)
+        # for.  (Skip host work, such as the watchdog's own tick, which
+        # would disarm the very detector this mode demonstrates.)
         def leak():
             for handle, entry in node.kernel._live.items():
-                if handle != box.watchdog._handle:
+                if not node.kernel.is_host(handle):
                     entry[2] = None
                     return
         node.kernel.schedule(3e-4, leak)

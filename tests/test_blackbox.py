@@ -5,18 +5,24 @@ import os
 
 import pytest
 
+from repro.asm import build
 from repro.cc.compiler import build_c_node
 from repro.core.exceptions import MemoryFault
 from repro.isa.events import Event
 from repro.netstack import build_blink_app
+from repro.network import NetworkSimulator, experiments
 from repro.node.node import SensorNode
 from repro.obs import (
     Blackbox,
     InvariantViolation,
+    NullTransport,
     Observability,
+    TelemetryExporter,
+    Watchdog,
     normalize_bundle,
     render_markdown,
 )
+from repro.sim.checkpoint import network_digest
 from repro.tools.debugger import Debugger
 from repro.tools.snap_flight import DEMO_CRASH_C, main as snap_flight_main
 
@@ -43,6 +49,24 @@ def _faulty_node():
 def _blink_node(node_id=0):
     node = SensorNode(node_id=node_id)
     node.load(build_blink_app(period_ticks=1000))
+    return node
+
+
+# Halts after eight kernel events, at t = 2.6e-7 s: long before any
+# observer's first tick.
+HALTING = """
+boot:
+    movi r1, 3
+.loop:
+    subi r1, 1
+    bnez r1, .loop
+    halt
+"""
+
+
+def _halting_node():
+    node = SensorNode(node_id=0)
+    node.load(build(HALTING))
     return node
 
 
@@ -114,17 +138,89 @@ class TestWatchdog:
         box = Blackbox(bundle_dir=None)
         node = _blink_node()
         box.observe(node)
-        # An unbounded run ends when the program halts or the queue
-        # drains; the watchdog must stand down rather than re-arm
-        # forever.  Blink never halts, so use a bounded run and then
-        # check the disarm logic directly on an empty queue.
+        # Blink never halts, so run a while and then cancel every
+        # simulation event: only the watchdog's own tick is left, and an
+        # unbounded run must return at once instead of firing it.
         node.run(until=0.05)
         for handle in list(node.kernel._live):
-            if handle != box.watchdog._handle:
+            if not node.kernel.is_host(handle):
                 node.kernel.cancel(handle)
-        while node.kernel.step():
-            pass
-        assert not box.watchdog.armed
+        assert box.watchdog.armed
+        assert node.kernel.pending == 0
+        assert node.kernel.run() == 0
+
+
+class TestHostTicks:
+    """Observer ticks are host work: they fire on time but never keep a
+    drained simulation alive or move where it ends.  Each run is capped
+    by ``max_events`` or a horizon, so a regression fails, not hangs."""
+
+    def test_checkpoint_tick_ends_with_the_guest(self):
+        node = _halting_node()
+        box = Blackbox(bundle_dir=None, checkpoint_every=1e-3)
+        box.observe(node)
+        box.run(node, max_events=1000)
+        assert node.processor.halted
+        assert node.kernel.executed == 8
+        assert node.kernel.pending == 0
+
+    def test_watchdog_and_exporter_do_not_keep_each_other_alive(self):
+        node = _halting_node()
+        exporter = TelemetryExporter.for_node(node, NullTransport(),
+                                              interval=1e-3).start()
+        watchdog = Watchdog(interval=1e-3)
+        watchdog.watch(node)
+        watchdog.start()
+        node.run(max_events=1000)
+        exporter.close()
+        assert node.processor.halted
+        assert node.kernel.now < 1e-3
+        assert watchdog.checks_run == 0
+
+    def test_each_view_ticks_the_same_with_or_without_the_other(self):
+        def chain(watch, export):
+            net = experiments.build_chain(3)
+            experiments.seed_chain_routes(net, 2, 3)
+            watchdog = Watchdog(interval=1e-3)
+            if watch:
+                watchdog.watch(net)
+                watchdog.start()
+            if export:
+                exporter = net.telemetry_exporter(NullTransport(),
+                                                  interval=1e-3)
+            # Each packet is delivered well inside its 0.2 s window, so
+            # the views tick through quiet spells too.
+            for sequence in (1, 2):
+                experiments.send_chain_packet(net, sequence, 3)
+                net.run(until=net.kernel.now + 0.2)
+            return watchdog.checks_run, exporter.flushes if export else 0
+
+        checks, _ = chain(watch=True, export=False)
+        _, flushes = chain(watch=False, export=True)
+        assert chain(watch=True, export=True) == (checks, flushes)
+        assert checks == flushes > 300
+
+    def test_armed_run_digests_like_a_bare_one(self):
+        def run(armed):
+            net = NetworkSimulator()
+            net.add_node(0, program=build(HALTING))
+            if armed:
+                Blackbox(bundle_dir=None, checkpoint_every=1e-3).observe(net)
+            net.run(max_events=1000)
+            return network_digest(net)
+
+        bare = run(armed=False)
+        assert bare["now"] == pytest.approx(2.6e-7, rel=0.01)
+        assert run(armed=True) == bare
+
+    def test_debugger_cont_is_done_at_the_last_guest_event(self):
+        node = _halting_node()
+        watchdog = Watchdog(interval=1e-3)
+        watchdog.watch(node)
+        watchdog.start()
+        stop = Debugger(node.processor).cont(max_kernel_events=1000)
+        assert stop.reason == "done"
+        assert stop.time == pytest.approx(2.6e-7, rel=0.01)
 
 
 class TestCrashBundle:
@@ -200,6 +296,14 @@ class TestCrashBundle:
         assert normalize_bundle(bundle) == golden
 
 
+def _node0(bundle):
+    return bundle["nodes"]["node0.cpu"]
+
+
+def _record0(bundle):
+    return bundle["disassembly"]["node0.cpu"][0]
+
+
 class TestSnapFlightCli:
     def test_demo_crash_modes(self, tmp_path, capsys):
         for mode in ("fault", "invariant", "leak"):
@@ -246,7 +350,42 @@ class TestSnapFlightCli:
         (["inspect"],
          lambda bundle: bundle.update(nodes=list(bundle["nodes"].values())),
          "'nodes' is list, not dict"),
-    ], ids=["no-time_s", "instruction-without-time", "nodes-as-list"])
+        (["inspect"], lambda bundle: _node0(bundle).update(registers=[0]),
+         "'nodes.node0.cpu.registers' is list, not dict"),
+        (["inspect"], lambda bundle: _node0(bundle)["registers"].update(
+            r1="6000"), "'nodes.node0.cpu.registers.r1' is str, not int"),
+        (["inspect"], lambda bundle: _node0(bundle).update(meter="7 nJ"),
+         "'nodes.node0.cpu.meter' is str, not dict"),
+        (["inspect"], lambda bundle: _node0(bundle)["meter"].update(
+            instructions="267"),
+         "'nodes.node0.cpu.meter.instructions' is str, not int"),
+        (["inspect"], lambda bundle: _node0(bundle).update(event_queue=0),
+         "'nodes.node0.cpu.event_queue' is int, not list"),
+        (["inspect"], lambda bundle: _node0(bundle).update(event_queue=[{}]),
+         "'nodes.node0.cpu.event_queue[0].event' is missing"),
+        (["inspect"], lambda bundle: _node0(bundle).update(pc_source=[12]),
+         "'nodes.node0.cpu.pc_source' is list, not dict"),
+        (["inspect"], lambda bundle: bundle.update(error=["MemoryFault"]),
+         "'error' is list, not dict"),
+        (["inspect"], lambda bundle: bundle.update(pending_events=[1]),
+         "'pending_events[0]' is int, not dict"),
+        (["inspect"], lambda bundle: bundle["events_tail"][0].pop("kind"),
+         "'events_tail[0].kind' is missing"),
+        (["inspect"], lambda bundle: bundle.update(journeys=1),
+         "'journeys' is int, not list"),
+        (["replay-tail"], lambda bundle: _record0(bundle).update(source=[14]),
+         "'disassembly.node0.cpu[0].source' is list, not dict"),
+        (["replay-tail"], lambda bundle: _record0(bundle)["source"].pop(
+            "line"), "'disassembly.node0.cpu[0].source.line' is missing"),
+        (["replay-tail"], lambda bundle: _record0(bundle).pop("rd_value"),
+         "'disassembly.node0.cpu[0].rd_value' is missing"),
+    ], ids=["no-time_s", "instruction-without-time", "nodes-as-list",
+            "registers-as-list", "register-as-str", "meter-as-str",
+            "meter-count-as-str", "event-queue-as-int",
+            "token-without-event", "pc-source-as-list", "error-as-list",
+            "pending-event-as-int", "event-without-kind", "journeys-as-int",
+            "source-as-list", "source-without-line",
+            "rd-without-rd-value"])
     def test_malformed_bundle_fields_are_usage_errors(
             self, tmp_path, capsys, command, edit, field):
         with open(GOLDEN) as handle:

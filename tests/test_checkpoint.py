@@ -23,6 +23,7 @@ from repro.netstack import build_blink_app
 from repro.network.simulator import NetworkSimulator
 from repro.node import SensorNode
 from repro.obs import MemorySink, Observability
+from repro.obs.diff import deep_diff_paths
 from repro.sim import (
     SCHEMA,
     Checkpoint,
@@ -39,7 +40,6 @@ from repro.sim.differential import (
     _run,
     checkpoint_time,
     differential,
-    digest_diff,
 )
 from repro.sim.differential import main as differential_main
 from repro.tools.snap_diff import main as snap_diff_main
@@ -77,7 +77,7 @@ class TestDifferentialMatrix:
         report = differential(scenario, fast_path,
                               fraction=_fraction(scenario, fast_path))
         assert report["identical"], "\n".join(
-            digest_diff(report["baseline"], report["resumed"]))
+            deep_diff_paths(report["baseline"], report["resumed"]))
 
     def test_differential_round_trips_via_json(self):
         """The persisted JSON text, not just the in-memory dict, is what

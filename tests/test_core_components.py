@@ -166,6 +166,26 @@ class TestKernel:
         kernel.run(until=5.0)
         assert kernel.now == 5.0
 
+    def test_host_work_fires_but_never_extends_a_run(self):
+        kernel = Kernel()
+        ticks = []
+
+        def tick():
+            ticks.append(kernel.now)
+            kernel.schedule_host(1.0, tick)
+
+        first = kernel.schedule_host(1.0, tick)
+        kernel.schedule(2.5, lambda: None)
+        assert kernel.is_host(first) and kernel.pending == 1
+        # Unbounded: the ticks at 1 and 2 fire, then the run ends with
+        # the last simulation event, not with the next tick.
+        assert kernel.run() == 3
+        assert kernel.now == 2.5 and kernel.pending == 0
+        assert not kernel.is_host(first)
+        # Bounded: host work fires up to the horizon like any event.
+        kernel.run(until=5.0)
+        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_run_until_with_empty_queue_advances_clock(self):
         kernel = Kernel()
         kernel.run(until=2.0)

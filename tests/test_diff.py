@@ -109,12 +109,6 @@ class TestDeepDiffPaths:
                                                                 "c": 3}})
         assert paths == ["a.c: 2 != 3"]
 
-    def test_matches_differential_digest_diff(self):
-        left = {"x": {"y": 1}, "z": 2}
-        right = {"x": {"y": 5}, "z": 2}
-        assert differential.digest_diff(left, right) == \
-            deep_diff_paths(left, right)
-
 
 # -- localization on real runs ------------------------------------------------
 

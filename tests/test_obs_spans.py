@@ -15,7 +15,10 @@ import os
 
 import pytest
 
+from repro.asm import build
+from repro.core.exceptions import SimulationDeadlock
 from repro.network.experiments import convergecast
+from repro.node import SensorNode
 from repro.obs import (
     Histogram,
     JsonlSink,
@@ -314,6 +317,15 @@ class TestTimelineSampler:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             TimelineSampler(kernel=None, nodes={}, interval=0.0)
+
+    def test_started_sampler_does_not_mask_a_deadlock(self):
+        # The core stalls on r15 and nothing can ever deliver a word.
+        node = SensorNode(node_id=0)
+        node.load(build("boot:\n    add r1, r15\n"))
+        sampler = TimelineSampler(node.kernel, {0: node}, 1e-3).start()
+        with pytest.raises(SimulationDeadlock):
+            node.processor.run(until=0.01)
+        assert len(sampler.rows) >= 9   # it sampled up to the horizon
 
     def test_convergecast_carries_drain_series(self):
         result = convergecast(chain_length=3, period_s=0.1, duration_s=1.0,
